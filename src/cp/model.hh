@@ -53,9 +53,10 @@ struct Mode
     std::vector<double> usage;
     /**
      * Model-wide dense mode index, assigned by Model::addTask in
-     * task/mode order. The packed Profile keys its precomputed
-     * per-mode resource-unit rows on it; -1 on modes never added to
-     * a model (those fall back to per-query conversion).
+     * task/mode order. The Profile keys its precomputed
+     * per-mode resource-unit rows on it, and the branch-and-bound
+     * its per-node start tables; -1 on modes never added to a model
+     * (the Profile converts those per query).
      */
     int id = -1;
 };

@@ -17,6 +17,7 @@
 #include "nogood.hh"
 #include "profile.hh"
 #include "propagate.hh"
+#include "start_table.hh"
 #include "support/arena.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
@@ -338,10 +339,11 @@ struct Shared
  * mode) or by a statically assigned slice of the frontier
  * (deterministic mode). The branching rules — eligible tasks sorted
  * longest tail first, options sorted by completion, the
- * completion-plus-tail prune — replicate Searcher::dfs exactly, so
- * the union of the subtrees covers the same schedule space and the
- * returned optima match the serial search (the differential test in
- * tests/cp/test_parallel_search.cc holds this).
+ * completion-plus-tail prune — come from the same StartTable as
+ * Searcher::dfs, so the union of the subtrees covers the same
+ * schedule space and the returned optima match the serial search
+ * (the differential test in tests/cp/test_parallel_search.cc holds
+ * this).
  */
 class Worker
 {
@@ -352,9 +354,9 @@ class Worker
           limits_(shared.limits),
           id_(id),
           deterministic_(deterministic),
-          packed_(shared.limits.packedLayout),
           n_(shared.model.numTasks()),
-          engine_(shared.model, shared.limits.packedLayout)
+          engine_(shared.model),
+          table_(shared.model, shared.cp, engine_.profile())
     {
         engine_.add(makeTimetablePropagator(model_));
         engine_.add(makeDisjunctivePropagator(model_));
@@ -390,19 +392,6 @@ class Worker
             nogoods_ = privateNogoods_.get();
         }
 
-        // Per-worker scratch pools, sized once here (when the crew
-        // is built at the frontier split) so no node allocates.
-        if (!packed_) {
-            size_t max_modes = 1;
-            for (int t = 0; t < n_; ++t)
-                max_modes = std::max(max_modes,
-                                     model_.task(t).modes.size());
-            frames_.resize(static_cast<size_t>(n_) + 1);
-            for (Frame &frame : frames_) {
-                frame.tasks.reserve(static_cast<size_t>(n_));
-                frame.options.reserve(max_modes);
-            }
-        }
         scratchBaseline_ = scratchHeapBytes();
     }
 
@@ -414,6 +403,8 @@ class Worker
     int64_t published() const { return published_; }
     int64_t nogoodHits() const { return nogoodHits_; }
     int64_t nogoodsRecorded() const { return nogoodsRecorded_; }
+    int64_t startSweeps() const { return table_.sweeps(); }
+    int64_t startsReused() const { return table_.reused(); }
     std::vector<PropagatorStats> propagators() const
     { return engine_.stats(); }
 
@@ -472,7 +463,7 @@ class Worker
     {
         collect_ = out;
         collectDepth_ = depth;
-        dfs(0, std::max<Time>(0, limits_.lowerBound));
+        dfs(0, std::max<Time>(0, limits_.lowerBound), nullptr, -1);
         collect_ = nullptr;
     }
 
@@ -776,10 +767,13 @@ class Worker
     /**
      * The search recursion. Branching replicates Searcher::dfs; the
      * only structural additions are the frontier capture (collect_),
-     * the spill path, and the shared upper bound.
+     * the spill path, and the shared upper bound. `parent_starts` and
+     * `placed` feed the start table as in Searcher::dfs; a replayed
+     * subproblem prefix starts from a fresh table.
      */
     void
-    dfs(Time makespan, Time inherited_bound)
+    dfs(Time makespan, Time inherited_bound, const Time *parent_starts,
+        int placed)
     {
         if (collect_ && scheduled_ == collectDepth_ &&
             scheduled_ < n_) {
@@ -821,67 +815,21 @@ class Worker
         }
 
         // Branch scratch mirrors the serial searcher: arena scratch
-        // released wholesale on unwind (packed) or this depth's
-        // preallocated frame (legacy) — no per-node allocations.
+        // released wholesale on unwind, no per-node allocations.
         const size_t num_branch = eligible_.size();
-        support::Arena::Scope scope(packed_ ? &nodeArena_ : nullptr);
-        Frame *frame = packed_ ? nullptr : &frames_[scheduled_];
-        int *branch_tasks;
-        if (packed_) {
-            branch_tasks = nodeArena_.allocArray<int>(num_branch);
-        } else {
-            frame->tasks.resize(num_branch);
-            branch_tasks = frame->tasks.data();
-        }
-        std::copy(eligible_.begin(), eligible_.end(), branch_tasks);
-        std::sort(branch_tasks, branch_tasks + num_branch,
-                  [this](int a, int b) {
-                      if (shared_.cp.tail[a] != shared_.cp.tail[b])
-                          return shared_.cp.tail[a] >
-                                 shared_.cp.tail[b];
-                      return a < b;
-                  });
+        support::Arena::Scope scope(&nodeArena_);
+        int *branch_tasks = table_.branchOrder(nodeArena_, eligible_);
+        Time *starts = table_.build(nodeArena_, eligible_, parent_starts,
+                                    placed, assign_, end_, ub);
 
         bool spill = shouldSpill();
-        const Profile &profile = engine_.profile();
         for (size_t bi = 0; bi < num_branch; ++bi) {
             int t = branch_tasks[bi];
-            Time est = 0;
-            for (int p : model_.predecessors(t))
-                est = std::max(est, end_[p]);
-            for (const Model::LagEdge &edge :
-                 model_.lagPredecessors(t))
-                est = std::max(est, assign_[edge.other].start +
-                                    edge.lag);
-
-            const Task &task = model_.task(t);
-            Option *options;
-            if (packed_) {
-                options = nodeArena_.allocArray<Option>(
-                    task.modes.size());
-            } else {
-                frame->options.resize(task.modes.size());
-                options = frame->options.data();
-            }
-            size_t num_options = 0;
-            Time tail_after =
-                shared_.cp.tail[t] - model_.minDuration(t);
-            ub = currentUb();
-            for (size_t m = 0; m < task.modes.size(); ++m) {
-                const Mode &mode = task.modes[m];
-                Time start = profile.earliestStart(mode, est);
-                if (start < 0)
-                    continue;
-                Time complete = start + mode.duration;
-                if (complete + tail_after >= ub)
-                    continue; // Cannot beat the incumbent.
-                options[num_options++] =
-                    {static_cast<int>(m), start, complete};
-            }
-            std::sort(options, options + num_options,
-                      [](const Option &a, const Option &b) {
-                          return a.complete < b.complete;
-                      });
+            Option *options = nodeArena_.allocArray<Option>(
+                model_.task(t).modes.size());
+            size_t num_options =
+                table_.options(t, starts, currentUb(), options);
+            Time tail_after = table_.tailAfter(t);
 
             for (size_t oi = 0; oi < num_options; ++oi) {
                 const Option &opt = options[oi];
@@ -894,7 +842,8 @@ class Worker
                     continue;
                 }
                 apply(d);
-                dfs(std::max(makespan, opt.complete), child_bound);
+                dfs(std::max(makespan, opt.complete), child_bound,
+                    starts, t);
                 undo();
                 if (abortRequested())
                     return;
@@ -927,7 +876,7 @@ class Worker
             Time makespan = 0;
             for (const Decision &d : sub.prefix)
                 makespan = std::max(makespan, apply(d));
-            dfs(makespan, sub.bound);
+            dfs(makespan, sub.bound, nullptr, -1);
             for (size_t i = 0; i < sub.prefix.size(); ++i)
                 undo();
         }
@@ -1022,33 +971,15 @@ class Worker
         return got;
     }
 
-    /** One feasible (mode, start) branch choice for a task. */
-    struct Option
-    {
-        int mode;
-        Time start;
-        Time complete;
-    };
-
-    /** Legacy-layout per-depth scratch (preallocated in the ctor). */
-    struct Frame
-    {
-        std::vector<int> tasks;
-        std::vector<Option> options;
-    };
+    using Option = StartTable::Option;
 
     /** Heap bytes currently committed to this worker's scratch. */
     int64_t
     scratchHeapBytes() const
     {
-        size_t bytes = nodeArena_.heapBytes() +
-                       engine_.stateArena().heapBytes() +
-                       engine_.profile().heapBytes();
-        for (const Frame &frame : frames_) {
-            bytes += frame.tasks.capacity() * sizeof(int);
-            bytes += frame.options.capacity() * sizeof(Option);
-        }
-        return static_cast<int64_t>(bytes);
+        return static_cast<int64_t>(nodeArena_.heapBytes() +
+                                    engine_.stateArena().heapBytes() +
+                                    engine_.profile().heapBytes());
     }
 
     Shared &shared_;
@@ -1056,13 +987,12 @@ class Worker
     const SearchLimits &limits_;
     const int id_;
     const bool deterministic_;
-    const bool packed_;
     const int n_;
 
     PropagationEngine engine_;
-    /** Packed-layout per-node scratch (one Scope per dfs call). */
+    StartTable table_;
+    /** Per-node scratch (one Scope per dfs call). */
     support::Arena nodeArena_;
-    std::vector<Frame> frames_;
     int64_t scratchBaseline_ = 0;
     std::vector<Assignment> assign_;
     std::vector<Time> end_;
@@ -1114,6 +1044,8 @@ mergeWorker(SearchResult &result, const Worker &worker,
     result.subproblems += worker.published();
     result.nogoodHits += worker.nogoodHits();
     result.nogoodsRecorded += worker.nogoodsRecorded();
+    result.startSweeps += worker.startSweeps();
+    result.startsReused += worker.startsReused();
     result.scratchBytes += worker.scratchBytes();
     result.arenaHighWater += worker.arenaHighWater();
     result.arenaRewinds += worker.arenaRewinds();
@@ -1129,6 +1061,8 @@ flushMetrics(const SearchResult &result, bool use_nogoods,
     metrics::counter("cp.search.nodes").add(result.nodes);
     metrics::counter("cp.search.backtracks").add(result.backtracks);
     metrics::counter("cp.search.solutions").add(result.solutions);
+    metrics::counter("cp.search.start_sweeps").add(result.startSweeps);
+    metrics::counter("cp.search.start_reused").add(result.startsReused);
     metrics::counter("cp.par.searches").add(1);
     metrics::counter("cp.par.steals").add(result.steals);
     metrics::counter("cp.par.subproblems").add(result.subproblems);
@@ -1369,7 +1303,7 @@ parallelBranchAndBound(const Model &model,
     if (result.foundSolution &&
         initialGapReached(initial_ub, limits)) {
         result.exhausted = false;
-        PropagationEngine idle_engine(model, limits.packedLayout);
+        PropagationEngine idle_engine(model);
         idle_engine.add(makeTimetablePropagator(model));
         idle_engine.add(makeDisjunctivePropagator(model));
         idle_engine.add(makePrecedencePropagator(model));

@@ -139,8 +139,7 @@ std::unique_ptr<Propagator> makeEnergeticPropagator(const Model &model);
 class PropagationEngine
 {
   public:
-    /** `packed` selects the Profile layout (see Profile). */
-    explicit PropagationEngine(const Model &model, bool packed = true);
+    explicit PropagationEngine(const Model &model);
 
     /** Register a propagator (fixpoint runs them in add order). */
     void add(std::unique_ptr<Propagator> propagator);

@@ -9,6 +9,7 @@
 #include "parallel_search.hh"
 #include "profile.hh"
 #include "propagate.hh"
+#include "start_table.hh"
 #include "support/arena.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
@@ -42,9 +43,9 @@ class Searcher
              const SearchLimits &limits)
         : model_(model),
           limits_(limits),
-          engine_(model, limits.packedLayout),
-          packed_(limits.packedLayout),
+          engine_(model),
           cp_(criticalPathData(model)),
+          table_(model, cp_, engine_.profile()),
           startTime_(Clock::now())
     {
         engine_.add(makeTimetablePropagator(model));
@@ -54,20 +55,6 @@ class Searcher
             engine_.add(makeEnergeticPropagator(model));
 
         const int n = model.numTasks();
-        if (!packed_) {
-            // Legacy path: per-depth preallocated scratch frames, so
-            // a node never allocates either. Depth never exceeds the
-            // task count.
-            size_t max_modes = 1;
-            for (int t = 0; t < n; ++t)
-                max_modes = std::max(max_modes,
-                                     model.task(t).modes.size());
-            frames_.resize(static_cast<size_t>(n) + 1);
-            for (Frame &frame : frames_) {
-                frame.tasks.reserve(static_cast<size_t>(n));
-                frame.options.reserve(max_modes);
-            }
-        }
         assign_.assign(n, Assignment{});
         end_.assign(n, 0);
         est_.assign(n, 0);
@@ -101,14 +88,16 @@ class Searcher
                          trace::Arg::intArg("tasks", model_.numTasks()));
         // Heap growth across the tree walk is the search's true
         // scratch-allocation cost: everything committed up front
-        // (frames, slabs, arena warm-up) is excluded, so a steady
-        // state of zero reports as zero.
+        // (slabs, arena warm-up) is excluded, so a steady state of
+        // zero reports as zero.
         int64_t scratch_before = scratchHeapBytes();
         if (gapReached())
             stop_ = true;
         else
-            dfs(0);
+            dfs(0, nullptr, -1);
         result_.exhausted = !stop_ && !limitHit_;
+        result_.startSweeps = table_.sweeps();
+        result_.startsReused = table_.reused();
         result_.propagators = engine_.stats();
         result_.scratchBytes = scratchHeapBytes() - scratch_before;
         result_.arenaHighWater = static_cast<int64_t>(
@@ -193,6 +182,10 @@ class Searcher
         metrics::counter("cp.search.nodes").add(result_.nodes);
         metrics::counter("cp.search.backtracks").add(result_.backtracks);
         metrics::counter("cp.search.solutions").add(result_.solutions);
+        metrics::counter("cp.search.start_sweeps")
+            .add(result_.startSweeps);
+        metrics::counter("cp.search.start_reused")
+            .add(result_.startsReused);
         int64_t invocations = 0;
         int64_t prunings = 0;
         for (const PropagatorStats &stats : result_.propagators) {
@@ -217,20 +210,14 @@ class Searcher
 
     /**
      * Heap bytes currently committed to search scratch: the node and
-     * engine-state arenas, the profile's occupancy storage, and (on
-     * the legacy path) the per-depth frames.
+     * engine-state arenas and the profile's occupancy storage.
      */
     int64_t
     scratchHeapBytes() const
     {
-        size_t bytes = nodeArena_.heapBytes() +
-                       engine_.stateArena().heapBytes() +
-                       engine_.profile().heapBytes();
-        for (const Frame &frame : frames_) {
-            bytes += frame.tasks.capacity() * sizeof(int);
-            bytes += frame.options.capacity() * sizeof(Option);
-        }
-        return static_cast<int64_t>(bytes);
+        return static_cast<int64_t>(nodeArena_.heapBytes() +
+                                    engine_.stateArena().heapBytes() +
+                                    engine_.profile().heapBytes());
     }
 
     void
@@ -254,8 +241,13 @@ class Searcher
             stop_ = true;
     }
 
+    /**
+     * One node. `parent_starts` is the parent node's earliest-start
+     * table and `placed` the task the parent just placed (nullptr and
+     * -1 at the root); see start_table.hh.
+     */
     void
-    dfs(Time makespan)
+    dfs(Time makespan, const Time *parent_starts, int placed)
     {
         ++result_.nodes;
         if ((result_.nodes & (kNodeTraceSample - 1)) == 0)
@@ -293,67 +285,21 @@ class Searcher
         }
 
         // Branch over all eligible tasks, longest tail first. The
-        // branch order and per-task option lists live in arena
-        // scratch released wholesale when the node unwinds (packed
-        // layout) or in this depth's preallocated frame (legacy
-        // layout) — either way no node allocates in steady state.
+        // branch order, the start table and the per-task option lists
+        // live in arena scratch released wholesale when the node
+        // unwinds, so no node allocates in steady state.
         const size_t num_branch = eligible_.size();
-        support::Arena::Scope scope(packed_ ? &nodeArena_ : nullptr);
-        Frame *frame = packed_ ? nullptr : &frames_[scheduled_];
-        int *branch_tasks;
-        if (packed_) {
-            branch_tasks = nodeArena_.allocArray<int>(num_branch);
-        } else {
-            frame->tasks.resize(num_branch);
-            branch_tasks = frame->tasks.data();
-        }
-        std::copy(eligible_.begin(), eligible_.end(), branch_tasks);
-        std::sort(branch_tasks, branch_tasks + num_branch,
-                  [this](int a, int b) {
-                      if (cp_.tail[a] != cp_.tail[b])
-                          return cp_.tail[a] > cp_.tail[b];
-                      return a < b;
-                  });
-
-        const Profile &profile = engine_.profile();
+        support::Arena::Scope scope(&nodeArena_);
+        int *branch_tasks = table_.branchOrder(nodeArena_, eligible_);
+        Time *starts = table_.build(nodeArena_, eligible_, parent_starts,
+                                    placed, assign_, end_, ub_);
         for (size_t bi = 0; bi < num_branch; ++bi) {
             int t = branch_tasks[bi];
-            Time est = 0;
-            for (int p : model_.predecessors(t))
-                est = std::max(est, end_[p]);
-            for (const Model::LagEdge &edge :
-                 model_.lagPredecessors(t))
-                est = std::max(est, assign_[edge.other].start +
-                                    edge.lag);
-
             const Task &task = model_.task(t);
-            // Enumerate feasible (mode, start) options; sort by
-            // completion time so promising branches go first.
-            Option *options;
-            if (packed_) {
-                options = nodeArena_.allocArray<Option>(
-                    task.modes.size());
-            } else {
-                frame->options.resize(task.modes.size());
-                options = frame->options.data();
-            }
-            size_t num_options = 0;
-            Time tail_after = cp_.tail[t] - model_.minDuration(t);
-            for (size_t m = 0; m < task.modes.size(); ++m) {
-                const Mode &mode = task.modes[m];
-                Time start = profile.earliestStart(mode, est);
-                if (start < 0)
-                    continue;
-                Time complete = start + mode.duration;
-                if (complete + tail_after >= ub_)
-                    continue; // Cannot beat the incumbent.
-                options[num_options++] =
-                    {static_cast<int>(m), start, complete};
-            }
-            std::sort(options, options + num_options,
-                      [](const Option &a, const Option &b) {
-                          return a.complete < b.complete;
-                      });
+            Option *options =
+                nodeArena_.allocArray<Option>(task.modes.size());
+            size_t num_options = table_.options(t, starts, ub_, options);
+            Time tail_after = table_.tailAfter(t);
 
             for (size_t oi = 0; oi < num_options; ++oi) {
                 const Option &opt = options[oi];
@@ -371,7 +317,7 @@ class Searcher
                     if (--remainingPreds_[s] == 0)
                         addEligible(s);
 
-                dfs(std::max(makespan, opt.complete));
+                dfs(std::max(makespan, opt.complete), starts, t);
 
                 // Undo.
                 for (int s : model_.successors(t))
@@ -403,35 +349,21 @@ class Searcher
         ++result_.backtracks;
     }
 
-    /** One feasible (mode, start) branch choice for a task. */
-    struct Option
-    {
-        int mode;
-        Time start;
-        Time complete;
-    };
-
-    /** Legacy-layout per-depth scratch (preallocated in the ctor). */
-    struct Frame
-    {
-        std::vector<int> tasks;
-        std::vector<Option> options;
-    };
+    using Option = StartTable::Option;
 
     const Model &model_;
     const SearchLimits &limits_;
     PropagationEngine engine_;
-    const bool packed_;
     CriticalPathData cp_;
+    StartTable table_;
     Clock::time_point startTime_;
 
     /**
-     * Packed-layout per-node scratch: every dfs() call opens a Scope
-     * and the whole node's scratch releases as one pointer rewind,
-     * including on the early-exit paths.
+     * Per-node scratch: every dfs() call opens a Scope and the whole
+     * node's scratch releases as one pointer rewind, including on the
+     * early-exit paths.
      */
     support::Arena nodeArena_;
-    std::vector<Frame> frames_;
 
     std::vector<Assignment> assign_;
     std::vector<Time> end_;

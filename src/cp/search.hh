@@ -95,12 +95,9 @@ struct SearchLimits
     /** Entry budget for the no-good store (rounded up to 2^k). */
     size_t nogoodCapacity = 1 << 16;
     /**
-     * Memory layout of the solver core. true (the default) uses the
-     * packed SoA profile slab plus arena-backed per-node scratch;
-     * false keeps the legacy AoS profile and per-depth preallocated
-     * scratch frames. Both explore bit-identical search trees — the
-     * flag exists so the solver_micro layout sweep can measure one
-     * against the other.
+     * Ignored: the solver core has a single memory layout. Kept so
+     * callers written against the former packed/legacy choice still
+     * compile.
      */
     bool packedLayout = true;
 };
@@ -131,15 +128,23 @@ struct SearchResult
     /** No-goods recorded into the store (0 when disabled). */
     int64_t nogoodsRecorded = 0;
     /**
+     * Profile sweeps (Profile::earliestStart calls) the per-node
+     * start tables ran; see start_table.hh. Deterministic for a
+     * serial search, unlike any timing.
+     */
+    int64_t startSweeps = 0;
+    /** Start-table entries filled without a sweep. */
+    int64_t startsReused = 0;
+    /**
      * Heap bytes the search scratch grew by *during* the tree walk
-     * (arenas, profile slabs, preallocated frames). Near zero in
+     * (arenas, profile slabs). Near zero in
      * steady state: all scratch is committed up front or during the
      * first few nodes of warm-up.
      */
     int64_t scratchBytes = 0;
     /** Peak live bytes across the search's arenas (all workers). */
     int64_t arenaHighWater = 0;
-    /** Arena rewinds performed (≈ node count on the packed layout). */
+    /** Arena rewinds performed (≈ node count). */
     int64_t arenaRewinds = 0;
     /**
      * Per-propagator telemetry, aggregated (by rule name) across

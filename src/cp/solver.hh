@@ -118,11 +118,7 @@ struct SolverOptions
     bool useNogoods = false;
     /** Entry budget for the no-good store (rounded up to 2^k). */
     size_t nogoodCapacity = 1 << 16;
-    /**
-     * Solver-core memory layout (see SearchLimits::packedLayout).
-     * Both settings explore bit-identical trees; false selects the
-     * legacy layout, kept as the measured baseline.
-     */
+    /** Ignored (see SearchLimits::packedLayout). */
     bool packedLayout = true;
     /**
      * Replace the pre-search hill climb with destroy/repair LNS
@@ -159,6 +155,10 @@ struct SolveStats
     int64_t nogoodHits = 0;
     /** No-goods recorded into the store (0 when disabled). */
     int64_t nogoodsRecorded = 0;
+    /** Profile sweeps run by the B&B start tables. */
+    int64_t startSweeps = 0;
+    /** B&B start-table entries filled without a sweep. */
+    int64_t startsReused = 0;
     /** Scratch heap growth during the tree walk, in bytes. */
     int64_t scratchBytes = 0;
     /** Peak live bytes across the search arenas. */

@@ -7,10 +7,10 @@
  * per-step usage, and group busyness. The dense table is the
  * obviously-correct reference; any disagreement is a Profile bug.
  *
- * The Profile runs in both of its layouts — packed (SoA slab,
- * galloping search, precomputed mode rows) and legacy (AoS
- * baseline) — against the same oracle, so the test also holds the
- * two layouts bit-identical to each other. Half the probed modes are
+ * The oracle also pins the Profile's representation: each resource
+ * holds exactly one breakpoint per level change (canonical form, so
+ * place/remove round trips restore it exactly) and each group one
+ * interval per active placement. Half the probed modes are
  * registered with the model (exercising the precomputed Mode::id
  * rows and the slab's region growth under many placements), half are
  * hand-built copies with id == -1 (exercising the per-query
@@ -31,43 +31,39 @@ namespace hilp {
 namespace cp {
 namespace {
 
-/** Compare the complete observable state of all implementations. */
+using Active = std::vector<std::pair<const Mode *, Time>>;
+
+/** Compare the complete observable state with the dense table. */
 void
-expectSameState(const Model &m, const Profile &packed,
-                const Profile &legacy, const Timetable &table,
-                int step)
+expectSameState(const Model &m, const Profile &profile,
+                const Timetable &table, const Active &active, int step)
 {
     for (Time s = 0; s < m.horizon(); ++s) {
-        for (int r = 0; r < m.numResources(); ++r) {
-            ASSERT_EQ(packed.usageUnits(r, s),
-                      table.usageUnits(r, s))
-                << "packed usage mismatch r=" << r << " t=" << s
-                << " at op " << step;
-            ASSERT_EQ(legacy.usageUnits(r, s),
-                      table.usageUnits(r, s))
-                << "legacy usage mismatch r=" << r << " t=" << s
-                << " at op " << step;
-        }
-        for (int g = 0; g < m.numGroups(); ++g) {
-            ASSERT_EQ(packed.groupBusy(g, s), table.groupBusy(g, s))
-                << "packed group mismatch g=" << g << " t=" << s
-                << " at op " << step;
-            ASSERT_EQ(legacy.groupBusy(g, s), table.groupBusy(g, s))
-                << "legacy group mismatch g=" << g << " t=" << s
-                << " at op " << step;
-        }
+        for (int r = 0; r < m.numResources(); ++r)
+            ASSERT_EQ(profile.usageUnits(r, s), table.usageUnits(r, s))
+                << "usage mismatch r=" << r << " t=" << s << " at op "
+                << step;
+        for (int g = 0; g < m.numGroups(); ++g)
+            ASSERT_EQ(profile.groupBusy(g, s), table.groupBusy(g, s))
+                << "group mismatch g=" << g << " t=" << s << " at op "
+                << step;
     }
-    // Representation invariant parity: a place/remove round-trip
-    // leaves both layouts in canonical form, so the breakpoint and
-    // interval counts agree too.
-    for (int r = 0; r < m.numResources(); ++r)
-        ASSERT_EQ(packed.breakpoints(r), legacy.breakpoints(r))
-            << "breakpoint count mismatch r=" << r << " at op "
-            << step;
-    for (int g = 0; g < m.numGroups(); ++g)
-        ASSERT_EQ(packed.intervals(g), legacy.intervals(g))
-            << "interval count mismatch g=" << g << " at op "
-            << step;
+    for (int r = 0; r < m.numResources(); ++r) {
+        size_t changes = 1;
+        for (Time s = 1; s < m.horizon(); ++s)
+            if (table.usageUnits(r, s) != table.usageUnits(r, s - 1))
+                ++changes;
+        ASSERT_EQ(profile.breakpoints(r), changes)
+            << "non-canonical breakpoints r=" << r << " at op " << step;
+    }
+    for (int g = 0; g < m.numGroups(); ++g) {
+        size_t busy = 0;
+        for (const auto &[mode, start] : active)
+            if (mode->group == g && mode->duration > 0)
+                ++busy;
+        ASSERT_EQ(profile.intervals(g), busy)
+            << "interval count mismatch g=" << g << " at op " << step;
+    }
 }
 
 class ProfileDiff : public ::testing::TestWithParam<uint64_t>
@@ -115,11 +111,8 @@ TEST_P(ProfileDiff, AgreesWithDenseTimetable)
     }
 
     Profile packed(m);
-    Profile legacy(m, /*packed=*/false);
-    ASSERT_TRUE(packed.packedLayout());
-    ASSERT_FALSE(legacy.packedLayout());
     Timetable table(m);
-    std::vector<std::pair<const Mode *, Time>> active;
+    Active active;
 
     for (int step = 0; step < 500; ++step) {
         // Probe queries agree regardless of what gets placed.
@@ -130,15 +123,11 @@ TEST_P(ProfileDiff, AgreesWithDenseTimetable)
                 rng.uniformInt(0, m.horizon()));
             Time expected = table.earliestStart(probe, est);
             ASSERT_EQ(packed.earliestStart(probe, est), expected)
-                << "packed earliestStart mismatch at op " << step;
-            ASSERT_EQ(legacy.earliestStart(probe, est), expected)
-                << "legacy earliestStart mismatch at op " << step;
+                << "earliestStart mismatch at op " << step;
             Time at = static_cast<Time>(
                 rng.uniformInt(0, m.horizon()));
             ASSERT_EQ(packed.fits(probe, at), table.fits(probe, at))
-                << "packed fits mismatch at op " << step;
-            ASSERT_EQ(legacy.fits(probe, at), table.fits(probe, at))
-                << "legacy fits mismatch at op " << step;
+                << "fits mismatch at op " << step;
         }
 
         if (active.size() < 10 && rng.chance(0.6)) {
@@ -148,10 +137,8 @@ TEST_P(ProfileDiff, AgreesWithDenseTimetable)
                 rng.uniformInt(0, m.horizon() - 1));
             Time start = table.earliestStart(mode, est);
             ASSERT_EQ(packed.earliestStart(mode, est), start);
-            ASSERT_EQ(legacy.earliestStart(mode, est), start);
             if (start >= 0) {
                 packed.place(mode, start);
-                legacy.place(mode, start);
                 table.place(mode, start);
                 active.emplace_back(&mode, start);
             }
@@ -160,16 +147,15 @@ TEST_P(ProfileDiff, AgreesWithDenseTimetable)
                 0, static_cast<int64_t>(active.size()) - 1));
             auto [mode, start] = active[pick];
             packed.remove(*mode, start);
-            legacy.remove(*mode, start);
             table.remove(*mode, start);
             active.erase(active.begin() +
                          static_cast<ptrdiff_t>(pick));
         }
 
         if (step % 25 == 0)
-            expectSameState(m, packed, legacy, table, step);
+            expectSameState(m, packed, table, active, step);
     }
-    expectSameState(m, packed, legacy, table, 500);
+    expectSameState(m, packed, table, active, 500);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProfileDiff,

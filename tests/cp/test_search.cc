@@ -2,11 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
+#include "arch/soc.hh"
 #include "cp/list_scheduler.hh"
 #include "cp/model.hh"
 #include "cp/search.hh"
+#include "cp/solver.hh"
+#include "hilp/builder.hh"
+#include "hilp/discretize.hh"
 #include "support/random.hh"
 #include "support/str.hh"
+#include "workload/rodinia.hh"
 
 namespace hilp {
 namespace cp {
@@ -189,50 +197,115 @@ randomModel(uint64_t seed)
     return m;
 }
 
-class SearchLayout : public ::testing::TestWithParam<uint64_t>
-{};
+/** Exact outcome of one search, recorded before the start table. */
+struct PinnedSearch
+{
+    uint64_t seed;
+    int64_t nodes;
+    int64_t backtracks;
+    int64_t solutions;
+    Time makespan;
+};
 
 /**
- * The packed (arena + SoA slab) and legacy layouts are pure memory-
- * layout changes: both must explore the *bit-identical* search tree.
- * Compare every observable of the two runs on random models.
+ * Node, backtrack and incumbent counts of the default search on the
+ * random models, recorded when every node still swept every start
+ * from scratch. The start table (start_table.hh) stores exactly the
+ * values those sweeps returned, so the trees must not move.
  */
-TEST_P(SearchLayout, PackedAndLegacyExploreIdenticalTrees)
-{
-    Model m = randomModel(GetParam());
-    SearchLimits packed;
-    packed.packedLayout = true;
-    SearchLimits legacy;
-    legacy.packedLayout = false;
-    SearchResult p = branchAndBound(m, nullptr, packed);
-    SearchResult l = branchAndBound(m, nullptr, legacy);
+constexpr PinnedSearch kPinnedSearches[] = {
+    {1, 38, 7, 4, 8},          {2, 40, 7, 2, 7},
+    {3, 1309, 1249, 2, 8},     {4, 1227, 1075, 4, 11},
+    {5, 99, 79, 4, 8},         {6, 486, 444, 2, 8},
+    {7, 430, 279, 1, 5},       {8, 25, 7, 1, 7},
+    {9, 126, 113, 2, 6},       {10, 2282, 2109, 1, 10},
+    {11, 2042, 1956, 2, 8},    {12, 101, 76, 1, 6},
+};
 
-    EXPECT_EQ(p.foundSolution, l.foundSolution);
-    EXPECT_EQ(p.exhausted, l.exhausted);
-    EXPECT_EQ(p.bestMakespan, l.bestMakespan);
-    EXPECT_EQ(p.nodes, l.nodes);
-    EXPECT_EQ(p.backtracks, l.backtracks);
-    EXPECT_EQ(p.solutions, l.solutions);
-    if (p.foundSolution) {
-        ASSERT_EQ(p.best.tasks.size(), l.best.tasks.size());
-        for (size_t i = 0; i < p.best.tasks.size(); ++i) {
-            EXPECT_EQ(p.best.tasks[i].mode, l.best.tasks[i].mode);
-            EXPECT_EQ(p.best.tasks[i].start, l.best.tasks[i].start);
-        }
-    }
-    // The packed run rewinds its node arena as it backtracks, and
-    // the scratch growth during the walk is bounded by the one-time
-    // pool warm-up (steady state allocates nothing per node).
-    if (p.nodes > 0) {
-        EXPECT_GT(p.arenaRewinds, 0);
-        EXPECT_GT(p.arenaHighWater, 0);
-    }
-    EXPECT_GE(p.scratchBytes, 0);
-    EXPECT_GE(l.scratchBytes, 0);
+/** Test names show the seed. */
+void
+PrintTo(const PinnedSearch &pin, std::ostream *os)
+{
+    *os << pin.seed;
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SearchLayout,
-                         ::testing::Range<uint64_t>(1, 13));
+class PinnedTree : public ::testing::TestWithParam<PinnedSearch>
+{};
+
+TEST_P(PinnedTree, MatchesRecordedSearch)
+{
+    const PinnedSearch &pin = GetParam();
+    Model m = randomModel(pin.seed);
+    SearchResult r = branchAndBound(m, nullptr, SearchLimits{});
+
+    ASSERT_TRUE(r.foundSolution);
+    EXPECT_TRUE(r.exhausted);
+    EXPECT_EQ(r.nodes, pin.nodes);
+    EXPECT_EQ(r.backtracks, pin.backtracks);
+    EXPECT_EQ(r.solutions, pin.solutions);
+    EXPECT_EQ(r.bestMakespan, pin.makespan);
+    EXPECT_EQ(checkSchedule(m, r.best), "");
+    EXPECT_GT(r.startSweeps, 0);
+    EXPECT_GT(r.startsReused, 0);
+    // The node arena rewinds as the search backtracks, and the
+    // scratch growth during the walk is bounded by the one-time pool
+    // warm-up (steady state allocates nothing per node).
+    EXPECT_GT(r.arenaRewinds, 0);
+    EXPECT_GT(r.arenaHighWater, 0);
+    EXPECT_GE(r.scratchBytes, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, PinnedTree, ::testing::ValuesIn(kPinnedSearches),
+    [](const ::testing::TestParamInfo<PinnedSearch> &info) {
+        return std::to_string(info.param.seed);
+    });
+
+/**
+ * The two node-capped instances of bench/solver_micro (the 50 W
+ * exact solve and explore-hard), with the wall clock lifted so the
+ * node caps alone stop them: the whole solver, bounds and greedy
+ * included, must reproduce the recorded search exactly.
+ */
+TEST(PinnedSolverMicro, NodeCappedInstances)
+{
+    struct Pinned
+    {
+        workload::Variant variant;
+        double targetGap;
+        int64_t maxNodes;
+        int64_t backtracks;
+        Time makespan;
+        Time lowerBound;
+    };
+    const Pinned pins[] = {
+        {workload::Variant::Optimized, 0.0, 500000, 499973, 73, 62},
+        {workload::Variant::Default, 0.10, 1000000, 999976, 81, 67},
+    };
+    arch::Constraints constraints;
+    constraints.powerBudgetW = 50.0;
+    arch::SocConfig soc;
+    soc.cpuCores = 4;
+    soc.gpuSms = 64;
+    for (const Pinned &pin : pins) {
+        ProblemSpec spec = buildProblem(
+            workload::makeWorkload(pin.variant), soc, constraints);
+        Model model = discretize(spec, 2.0, 1000).model;
+        SolverOptions options;
+        options.maxSeconds = 1e6;
+        options.maxNodes = pin.maxNodes;
+        options.targetGap = pin.targetGap;
+        Result r = Solver(options).solve(model);
+        EXPECT_EQ(r.stats.nodes, pin.maxNodes);
+        EXPECT_EQ(r.stats.backtracks, pin.backtracks);
+        EXPECT_EQ(r.stats.solutions, 0);
+        EXPECT_EQ(r.makespan, pin.makespan);
+        EXPECT_EQ(r.lowerBound, pin.lowerBound);
+        EXPECT_EQ(r.status, SolveStatus::Feasible);
+        // Most (task, mode) starts carry over from the parent node.
+        EXPECT_GT(r.stats.startsReused, r.stats.startSweeps);
+    }
+}
 
 } // anonymous namespace
 } // namespace cp

@@ -141,9 +141,6 @@ TEST(Arena, ScopeRewindsOnAllExits)
         EXPECT_EQ(arena.bytesInUse(), 64u);
     }
     EXPECT_EQ(arena.bytesInUse(), 0u);
-
-    // A null arena makes the scope a no-op (legacy-layout path).
-    Arena::Scope noop(nullptr);
 }
 
 TEST(SmallVector, StaysInlineUpToN)
