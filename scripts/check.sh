@@ -26,14 +26,18 @@ run_suite() {
 run_suite build
 run_suite build-asan -DHILP_SANITIZE=ON
 
-# No-good + LNS soundness under ASan: the differential tests (no-good
-# pruning preserves the certified optimum, LNS never regresses its
-# incumbent) run again on their own so a heap bug in the solver hot
+# Search kernel + no-good + LNS soundness under ASan: the pinned
+# search trees, the start-lag tests, the node-capped incumbent test
+# and the differential tests (no-good pruning preserves the certified
+# optimum, LNS never regresses its incumbent) run again on their own
+# so a heap bug in the one branch-and-bound kernel or the solver hot
 # path fails this stage by name even when the tier1 sweep above is
 # trimmed or filtered.
-echo "==> no-good/LNS soundness (ASan)"
+echo "==> search kernel + no-good/LNS soundness (ASan)"
 ./build-asan/tests/hilp_test_cp \
-    --gtest_filter='*Nogood*:*Lns*:*NogoodDiff*:*LnsMonotone*'
+    --gtest_filter='*Nogood*:*Lns*:*NogoodDiff*:*LnsMonotone*:*PinnedTree*:*PinnedSolverMicro*:*StartLags*:*LaggedSearch*'
+./build-asan/tests/hilp_test_concurrency \
+    --gtest_filter='*NodeCappedSearchKeepsItsBestLeaf*'
 
 # Thread-sanitizer stage: build only the concurrency test binary
 # (thread pool + budget + parallel branch-and-bound) under TSan and

@@ -5,10 +5,10 @@
  * with trail-based exact undo.
  *
  * Historically the branch-and-bound search fused all of its bound and
- * feasibility reasoning into the recursion (Searcher::nodeBound):
- * resource-energy accounting, disjunctive-group load, and the
- * critical-path pass were inlined and hand-undone on backtrack. This
- * layer extracts each rule into a Propagator:
+ * feasibility reasoning into the recursion: resource-energy
+ * accounting, disjunctive-group load, and the critical-path pass were
+ * inlined and hand-undone on backtrack. This layer extracts each rule
+ * into a Propagator:
  *
  *  - "precedence":  critical-path earliest-start propagation over the
  *                   precedence/lag DAG (head/tail bounds).

@@ -8,7 +8,46 @@
  * space contains an optimal schedule (the classic active-schedule
  * argument for serial schedule generation), so exhausting the tree
  * proves optimality. Pruning uses the incumbent upper bound against
- * per-node critical-path bounds.
+ * per-node bounds from the propagation engine. A leaf replaces the
+ * incumbent only when it is strictly better.
+ *
+ * One node-expansion kernel (search.cc's Worker: propagation engine,
+ * start table, node arena, eligible set, decision path, no-good hash
+ * and the one dfs) runs under three drivers:
+ *
+ *  - Serial (SearchLimits::threads <= 1): one kernel with a private
+ *    incumbent, walking the tree from the root. Node limits are
+ *    exact and the walk is deterministic.
+ *  - Deterministic (threads >= 2, SearchLimits::deterministic): the
+ *    frontier is generated serially at a fixed depth and assigned
+ *    round-robin; workers keep private incumbents (no stealing, no
+ *    sharing), and results merge by (makespan, subproblem index). A
+ *    run that completes within its node budget is exactly
+ *    reproducible for a given thread count.
+ *  - Opportunistic (threads >= 2, the default parallel mode): the
+ *    same tree decomposed into *subproblems* — decision prefixes from
+ *    the root — searched by a crew of workers:
+ *     - Frontier splitting: nodes above SearchLimits::splitDepth are
+ *       expanded into child subproblems pushed onto the owning
+ *       worker's deque instead of being recursed into; deeper nodes
+ *       also spill their children whenever other workers are
+ *       starving, so one hard subtree cannot serialize the crew.
+ *     - Chase–Lev-style deques: the owner pushes and pops at the
+ *       bottom (depth-first order), thieves steal half from the top —
+ *       the shallowest, largest subtrees.
+ *     - Shared incumbent: the best makespan is a CAS-updated atomic
+ *       every worker prunes against; the schedule itself is
+ *       published under a mutex by whichever worker wins the CAS.
+ *     - Bound aggregation: every queued or in-flight subproblem keeps
+ *       its certified lower bound registered in a global aggregator,
+ *       so the targetGap stop can use min(incumbent, min over
+ *       remaining subtrees) as a sound global lower bound instead of
+ *       only the weaker external bound.
+ *
+ * All three return the same optimal makespans and the same
+ * exhausted/foundSolution statuses; only node counts differ (pruning
+ * happens in a different order). See tests/cp/test_parallel_search.cc
+ * for the differential guarantee.
  */
 
 #ifndef HILP_CP_SEARCH_HH
@@ -61,11 +100,11 @@ struct SearchLimits
     bool energeticReasoning = false;
     /**
      * Worker threads for the branch-and-bound tree walk. 1 (the
-     * default) runs the serial searcher, bit-identical to the
-     * historical behavior; larger values run the work-stealing
-     * parallel search (see parallel_search.hh), which explores a
-     * different node set but returns the same optimal makespans and
-     * the same exhausted/foundSolution statuses.
+     * default) runs the serial driver, a deterministic depth-first
+     * walk; larger values run a parallel driver (see the file
+     * comment), which explores a different node set but returns the
+     * same optimal makespans and the same exhausted/foundSolution
+     * statuses.
      */
     int threads = 1;
     /**

@@ -90,9 +90,9 @@ struct SolverOptions
      */
     bool energeticReasoning = false;
     /**
-     * Branch-and-bound worker threads. 1 (the default) keeps the
-     * historical serial search, bit for bit. Larger values run the
-     * work-stealing parallel search. 0 sizes the crew from the
+     * Branch-and-bound worker threads. 1 (the default) runs the
+     * serial driver, a deterministic depth-first walk. Larger values
+     * run a parallel driver (see search.hh). 0 sizes the crew from the
      * process-wide ThreadBudget: the solve borrows whatever slots
      * are currently free (degrading gracefully to serial when a DSE
      * sweep is using the machine) and returns them afterwards.

@@ -43,6 +43,15 @@ StartTable::sweep(const Mode &mode, Time from, Time tail, Time ub)
     return start;
 }
 
+void
+StartTable::markSuccessors(int t, uint8_t value)
+{
+    for (int succ : model_.successors(t))
+        fresh_[succ] = value;
+    for (const Model::LagEdge &edge : model_.lagSuccessors(t))
+        fresh_[edge.other] = value;
+}
+
 Time *
 StartTable::build(support::Arena &arena,
                   const std::vector<int> &eligible, const Time *parent,
@@ -59,8 +68,7 @@ StartTable::build(support::Arena &arena,
             assign[placed].mode)];
         s = assign[placed].start;
         e = s + pm->duration;
-        for (int succ : model_.successors(placed))
-            fresh_[succ] = 1;
+        markSuccessors(placed, 1);
     }
 
     for (int t : eligible) {
@@ -96,8 +104,7 @@ StartTable::build(support::Arena &arena,
     }
 
     if (parent)
-        for (int succ : model_.successors(placed))
-            fresh_[succ] = 0;
+        markSuccessors(placed, 0);
     return starts;
 }
 

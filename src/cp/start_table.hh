@@ -18,9 +18,10 @@
  *    resources it shares with M0 (Profile::stillFits), otherwise
  *    sweep again with earliestStart(M, S) - never from est.
  *
- * A task that becomes eligible with P (a successor of P's task) gets
- * a fresh sweep from its est. An eligible task's est never changes:
- * all of its predecessors are placed.
+ * A task that becomes eligible with P (a successor or start-lag
+ * successor of P's task) gets a fresh sweep from its est. An
+ * eligible task's est never changes: all of its predecessors are
+ * placed.
  *
  * A mode whose completion plus its task's remaining tail reaches the
  * incumbent is stored as kPruned and never swept again: starts only
@@ -104,6 +105,9 @@ class StartTable
   private:
     /** earliestStart(mode, from), or kPruned when it cannot beat ub. */
     Time sweep(const Mode &mode, Time from, Time tail, Time ub);
+
+    /** Set fresh_ of task t's successors and lag successors. */
+    void markSuccessors(int t, uint8_t value);
 
     const Model &model_;
     const CriticalPathData &cp_;

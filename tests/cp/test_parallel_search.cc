@@ -1,11 +1,14 @@
 /**
  * @file
- * Differential tests for the work-stealing parallel branch-and-bound
- * against the serial searcher. With targetGap == 0 both must prove
- * the same optimum (or the same infeasibility): the parallel search
- * explores a different node set, but the set of schedules covered is
- * identical, so foundSolution / exhausted / bestMakespan must match
- * exactly for every thread count and both parallel modes.
+ * Tests of the branch-and-bound drivers, which all run the one
+ * node-expansion kernel of cp/search.cc: the parallel drivers
+ * (opportunistic work stealing and deterministic frontier slices)
+ * against the serial one. With targetGap == 0 all must prove the same
+ * optimum (or the same infeasibility): the parallel drivers explore a
+ * different node set, but the set of schedules covered is identical,
+ * so foundSolution / exhausted / bestMakespan must match exactly for
+ * every thread count and both parallel modes. This binary also runs
+ * under TSan.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +21,8 @@
 #include "cp/model.hh"
 #include "cp/search.hh"
 #include "support/random.hh"
+
+#include "pinned_model.hh"
 
 namespace hilp {
 namespace cp {
@@ -482,6 +487,50 @@ TEST(ParallelSearch, AlreadyExpiredDeadlineStillReturnsIncumbent)
         EXPECT_FALSE(r.exhausted);
         EXPECT_LE(r.bestMakespan, greedy.makespan);
         EXPECT_EQ(checkSchedule(m, r.best), "");
+    }
+}
+
+/**
+ * A leaf replaces the incumbent only when it is strictly better, in
+ * every driver. On this model the serial walk meets a leaf of
+ * makespan 12 at node 9, after one of 8: capped at 10 nodes it must
+ * still return 8, never a makespan above the best leaf it visited.
+ * The deterministic driver spends a 10-node budget on generating its
+ * frontier, so it gets 20; the opportunistic one checks its shared
+ * budget every 64 nodes and visits a different tree (which it may
+ * even finish within that batch), so it only has to return a
+ * consistent schedule.
+ */
+TEST(ParallelSearch, NodeCappedSearchKeepsItsBestLeaf)
+{
+    Model m = pinnedSearchModel(1);
+    struct Run
+    {
+        int threads;
+        bool deterministic;
+        int64_t maxNodes;
+        Time expected; // 0: any makespan.
+    };
+    const Run runs[] = {
+        {1, false, 10, 8}, {2, true, 20, 8}, {2, false, 10, 0}};
+    for (const Run &run : runs) {
+        SearchLimits limits;
+        limits.maxNodes = run.maxNodes;
+        limits.threads = run.threads;
+        limits.deterministic = run.deterministic;
+        SearchResult r = branchAndBound(m, nullptr, limits);
+        SCOPED_TRACE(::testing::Message()
+                     << "threads=" << run.threads
+                     << " deterministic=" << run.deterministic);
+        ASSERT_TRUE(r.foundSolution);
+        EXPECT_EQ(checkSchedule(m, r.best), "");
+        EXPECT_EQ(r.best.makespan(m), r.bestMakespan);
+        if (run.expected > 0) {
+            EXPECT_FALSE(r.exhausted);
+            EXPECT_EQ(r.bestMakespan, run.expected);
+        }
+        if (run.threads == 1)
+            EXPECT_EQ(r.nodes, run.maxNodes); // The cap is exact.
     }
 }
 

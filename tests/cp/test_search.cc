@@ -12,9 +12,9 @@
 #include "cp/solver.hh"
 #include "hilp/builder.hh"
 #include "hilp/discretize.hh"
-#include "support/random.hh"
-#include "support/str.hh"
 #include "workload/rodinia.hh"
+
+#include "pinned_model.hh"
 
 namespace hilp {
 namespace cp {
@@ -162,41 +162,6 @@ TEST(Search, CumulativeResourcePacking)
     EXPECT_EQ(checkSchedule(m, r.best), "");
 }
 
-/**
- * Random multi-mode model with groups, a cumulative resource, and a
- * sparse precedence DAG - enough structure to force nontrivial
- * branching, mode ties, and backtracking.
- */
-Model
-randomModel(uint64_t seed)
-{
-    Rng rng(seed * 2654435761u + 11);
-    Model m;
-    m.addResource(rng.uniformDouble(1.0, 2.5), "power");
-    int g1 = m.addGroup("A");
-    int g2 = m.addGroup("B");
-    int n = static_cast<int>(rng.uniformInt(5, 8));
-    for (int i = 0; i < n; ++i) {
-        Task t;
-        t.name = format("t%d", i);
-        int nm = static_cast<int>(rng.uniformInt(1, 3));
-        for (int k = 0; k < nm; ++k) {
-            double which = rng.uniformDouble();
-            int g = which < 0.4 ? g1 : which < 0.8 ? g2 : kNoGroup;
-            t.modes.push_back(
-                {g, static_cast<Time>(rng.uniformInt(1, 4)),
-                 {rng.uniformDouble(0.0, 1.2)}});
-        }
-        m.addTask(t);
-    }
-    for (int i = 0; i < n; ++i)
-        for (int j = i + 1; j < n; ++j)
-            if (rng.chance(0.2))
-                m.addPrecedence(i, j);
-    m.setHorizon(6 * n);
-    return m;
-}
-
 /** Exact outcome of one search, recorded before the start table. */
 struct PinnedSearch
 {
@@ -211,14 +176,15 @@ struct PinnedSearch
  * Node, backtrack and incumbent counts of the default search on the
  * random models, recorded when every node still swept every start
  * from scratch. The start table (start_table.hh) stores exactly the
- * values those sweeps returned, so the trees must not move.
+ * values those sweeps returned, so the trees must not move. A leaf
+ * counts as a solution only when it strictly beats the incumbent.
  */
 constexpr PinnedSearch kPinnedSearches[] = {
-    {1, 38, 7, 4, 8},          {2, 40, 7, 2, 7},
-    {3, 1309, 1249, 2, 8},     {4, 1227, 1075, 4, 11},
-    {5, 99, 79, 4, 8},         {6, 486, 444, 2, 8},
+    {1, 37, 6, 1, 8},          {2, 40, 7, 1, 7},
+    {3, 1309, 1249, 2, 8},     {4, 1225, 1075, 2, 11},
+    {5, 98, 78, 1, 8},         {6, 486, 444, 2, 8},
     {7, 430, 279, 1, 5},       {8, 25, 7, 1, 7},
-    {9, 126, 113, 2, 6},       {10, 2282, 2109, 1, 10},
+    {9, 126, 113, 1, 6},       {10, 2282, 2109, 1, 10},
     {11, 2042, 1956, 2, 8},    {12, 101, 76, 1, 6},
 };
 
@@ -235,7 +201,7 @@ class PinnedTree : public ::testing::TestWithParam<PinnedSearch>
 TEST_P(PinnedTree, MatchesRecordedSearch)
 {
     const PinnedSearch &pin = GetParam();
-    Model m = randomModel(pin.seed);
+    Model m = pinnedSearchModel(pin.seed);
     SearchResult r = branchAndBound(m, nullptr, SearchLimits{});
 
     ASSERT_TRUE(r.foundSolution);

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include "cp/bounds.hh"
+#include "cp/exhaustive.hh"
 #include "cp/list_scheduler.hh"
 #include "cp/model.hh"
+#include "cp/search.hh"
 #include "cp/solver.hh"
+#include "support/random.hh"
 
 namespace hilp {
 namespace cp {
@@ -152,6 +155,91 @@ TEST(StartLags, PipelinedChainWithInitiationInterval)
     EXPECT_EQ(r.makespan, 8);
     EXPECT_EQ(r.status, SolveStatus::Optimal);
 }
+
+/**
+ * A start-lag predecessor releases its successor for branching: from
+ * a poor warm start the search must find the lagged optimum and prove
+ * it, not report an exhausted tree after never placing task b.
+ */
+TEST(StartLags, SearchBranchesPastLagFromWarmStart)
+{
+    Model m = laggedPair(3);
+    ScheduleVec warm;
+    warm.tasks = {{0, 0}, {0, 20}};
+    ASSERT_EQ(checkSchedule(m, warm), "");
+    ASSERT_EQ(warm.makespan(m), 22);
+    for (int threads : {1, 2}) {
+        for (bool deterministic : {false, true}) {
+            SearchLimits limits;
+            limits.threads = threads;
+            limits.deterministic = deterministic;
+            SearchResult r = branchAndBound(m, &warm, limits);
+            SCOPED_TRACE(::testing::Message()
+                         << "threads=" << threads
+                         << " deterministic=" << deterministic);
+            ASSERT_TRUE(r.foundSolution);
+            EXPECT_TRUE(r.exhausted);
+            EXPECT_EQ(r.bestMakespan, 6);
+            EXPECT_EQ(checkSchedule(m, r.best), "");
+        }
+    }
+}
+
+/**
+ * Differential against exhaustive enumeration on small random models
+ * with start lags: the search alone (no greedy warm start) must prove
+ * the oracle's optimum or its infeasibility.
+ */
+class LaggedSearchOracle : public ::testing::TestWithParam<uint64_t>
+{};
+
+TEST_P(LaggedSearchOracle, SearchMatchesExhaustiveOptimum)
+{
+    Rng rng(GetParam() * 7919 + 3);
+    Model m;
+    m.addResource(2.0, "res");
+    int g = m.addGroup("G");
+    const int n = 4;
+    for (int i = 0; i < n; ++i) {
+        Task t;
+        int modes = 1 + static_cast<int>(rng.uniformInt(0, 1));
+        for (int k = 0; k < modes; ++k) {
+            Mode mode;
+            mode.group = rng.chance(0.5) ? g : kNoGroup;
+            mode.duration = static_cast<Time>(rng.uniformInt(1, 3));
+            mode.usage = {rng.chance(0.5) ? 1.0 : 2.0};
+            t.modes.push_back(mode);
+        }
+        m.addTask(t);
+    }
+    for (int i = 0; i < n; ++i)
+        for (int j = i + 1; j < n; ++j) {
+            if (rng.chance(0.4))
+                m.addStartLag(i, j,
+                              static_cast<Time>(rng.uniformInt(0, 3)));
+            else if (rng.chance(0.2))
+                m.addPrecedence(i, j);
+        }
+    m.setHorizon(8);
+
+    ExhaustiveResult oracle = solveExhaustively(m);
+    ASSERT_TRUE(oracle.complete);
+    for (int threads : {1, 2}) {
+        SearchLimits limits;
+        limits.threads = threads;
+        SearchResult r = branchAndBound(m, nullptr, limits);
+        SCOPED_TRACE(threads);
+        EXPECT_TRUE(r.exhausted);
+        ASSERT_EQ(r.foundSolution, oracle.feasible);
+        if (oracle.feasible) {
+            EXPECT_EQ(r.bestMakespan, oracle.optimum);
+            EXPECT_EQ(checkSchedule(m, r.best), "");
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomInstances, LaggedSearchOracle,
+                         ::testing::Range<uint64_t>(1, 17));
 
 } // anonymous namespace
 } // namespace cp

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "cp/model.hh"
+#include "cp/search.hh"
 #include "cp/solver.hh"
 #include "support/metrics.hh"
 #include "support/trace.hh"
@@ -165,6 +167,42 @@ TEST_F(TraceSolveTest, SolveMovesTheMetricsCounters)
     metrics::counter("cp.search.nodes").reset();
     metrics::counter("cp.propagations").reset();
     metrics::histogram("cp.solve_us").reset();
+}
+
+/**
+ * Each search flushes its totals once: the cp.search.* counters move
+ * by exactly the SearchResult's fields, and only a parallel search
+ * counts under cp.par.*.
+ */
+TEST_F(TraceSolveTest, SearchFlushesItsCountersOnce)
+{
+    const char *const names[] = {
+        "cp.search.nodes", "cp.search.backtracks", "cp.search.solutions",
+        "cp.search.start_sweeps", "cp.search.start_reused",
+        "cp.par.searches"};
+    auto snapshot = [&]() {
+        std::vector<int64_t> values;
+        for (const char *name : names)
+            values.push_back(metrics::counter(name).value());
+        return values;
+    };
+    Model m = makeInstance();
+    for (int threads : {1, 2}) {
+        SCOPED_TRACE(threads);
+        SearchLimits limits;
+        limits.threads = threads;
+        std::vector<int64_t> before = snapshot();
+        SearchResult r = branchAndBound(m, nullptr, limits);
+        std::vector<int64_t> after = snapshot();
+        ASSERT_TRUE(r.exhausted);
+        ASSERT_GT(r.nodes, 0);
+        EXPECT_EQ(after[0] - before[0], r.nodes);
+        EXPECT_EQ(after[1] - before[1], r.backtracks);
+        EXPECT_EQ(after[2] - before[2], r.solutions);
+        EXPECT_EQ(after[3] - before[3], r.startSweeps);
+        EXPECT_EQ(after[4] - before[4], r.startsReused);
+        EXPECT_EQ(after[5] - before[5], threads == 1 ? 0 : 1);
+    }
 }
 
 } // anonymous namespace
