@@ -492,7 +492,8 @@ emitReport(const std::vector<Measurement> &measurements,
     // The sweep/reuse split is the start table's noise-free
     // counterpart to the timings: same tree, fewer profile sweeps.
     Table table({"instance", "median (ms)", "nodes", "backtracks",
-                 "start sweeps", "starts reused", "gap", "status"});
+                 "start sweeps", "starts reused", "LP pivots", "gap",
+                 "status"});
     table.setAlign(0, Table::Align::Left);
     for (const Measurement &m : measurements) {
         table.addRow(RowBuilder()
@@ -502,12 +503,23 @@ emitReport(const std::vector<Measurement> &measurements,
                          .cell(m.result.stats.backtracks)
                          .cell(m.result.stats.startSweeps)
                          .cell(m.result.stats.startsReused)
+                         .cell(m.result.stats.bounds.lpPivots)
                          .cell(m.result.gap(), 3)
                          .cell(std::string(
                              cp::toString(m.result.status)))
                          .take());
     }
     table.print();
+
+    // The LP bound's work over every solve of this run, as the
+    // solver flushes it: exact at a seed, so a change to the
+    // relaxation can quote it noise-free.
+    std::printf("LP bound (whole run): cp.lp.solves %lld, "
+                "cp.lp.pivots %lld\n",
+                static_cast<long long>(
+                    metrics::counter("cp.lp.solves").value()),
+                static_cast<long long>(
+                    metrics::counter("cp.lp.pivots").value()));
 
     for (const Measurement &m : measurements) {
         std::printf("%s propagators:", m.name.c_str());
@@ -543,6 +555,8 @@ emitReport(const std::vector<Measurement> &measurements,
             m.result.stats.startSweeps));
         entry.set("start_reused", Json::number(
             m.result.stats.startsReused));
+        entry.set("lp_pivots", Json::number(
+            m.result.stats.bounds.lpPivots));
         Json propagators = Json::array();
         for (const cp::PropagatorStats &p :
              m.result.stats.propagators) {

@@ -39,6 +39,15 @@ echo "==> search kernel + no-good/LNS soundness (ASan)"
 ./build-asan/tests/hilp_test_concurrency \
     --gtest_filter='*NodeCappedSearchKeepsItsBestLeaf*'
 
+# LP bound soundness under ASan: the pinned fig7 LP optima, the
+# randomized LP-vs-exhaustive oracle, the refuted-bound check and the
+# simplex's zero-rhs and implied-bound cases, so a heap or UB bug in
+# the dense tableau fails this stage by name.
+echo "==> LP bound soundness (ASan)"
+./build-asan/tests/hilp_test_cp --gtest_filter='*LpBound*'
+./build-asan/tests/hilp_test_lp \
+    --gtest_filter='Lp.ZeroRhs*:Lp.ImpliedUpperBound*'
+
 # Thread-sanitizer stage: build only the concurrency test binary
 # (thread pool + budget + parallel branch-and-bound) under TSan and
 # run it. TSan is incompatible with ASan, so this is a third build

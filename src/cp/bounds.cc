@@ -45,6 +45,15 @@ LowerBounds::best() const
                      lpRelaxation});
 }
 
+bool
+LowerBounds::dropRefutedLp(Time makespan)
+{
+    if (lpRelaxation <= makespan)
+        return false;
+    lpRelaxation = 0;
+    return true;
+}
+
 namespace {
 
 /** Longest head + tail across all tasks. */
@@ -124,20 +133,28 @@ resourceEnergyBound(const Model &model)
  *   sum_{t,m} d_tm u_tmr x_tm <= cap_r * M          (resource energy)
  * Any feasible schedule of makespan T yields a feasible LP point with
  * M = T, so the LP optimum lower-bounds the integer optimum.
+ *
+ * The LP carries no x_tm <= 1 bounds (convexity and x >= 0 imply
+ * them, and lp::Solver would spend a row and a slack on each), and a
+ * mode whose usage exceeds a capacity gets no column at all. Fills
+ * in lpRelaxation and lpPivots.
  */
-Time
-lpRelaxationBound(const Model &model)
+void
+lpRelaxationBound(const Model &model, LowerBounds &bounds)
 {
     lp::Problem problem;
 
-    // Mode-choice variables.
-    std::vector<std::vector<int>> x(model.numTasks());
+    // Mode-choice variables, one per usable mode: a mode whose usage
+    // exceeds a capacity outright can never be selected.
+    struct ModeColumn
+    {
+        const Mode *mode;
+        int var;
+    };
+    std::vector<std::vector<ModeColumn>> x(model.numTasks());
     for (int t = 0; t < model.numTasks(); ++t) {
         const Task &task = model.task(t);
-        x[t].resize(task.modes.size());
         for (size_t m = 0; m < task.modes.size(); ++m) {
-            // Modes whose usage exceeds a capacity outright can never
-            // be selected; pin them to zero.
             bool usable = true;
             for (int r = 0; r < model.numResources(); ++r) {
                 if (task.modes[m].usage[r] >
@@ -146,7 +163,9 @@ lpRelaxationBound(const Model &model)
                     break;
                 }
             }
-            x[t][m] = problem.addVariable(0.0, usable ? 1.0 : 0.0, 0.0);
+            if (usable)
+                x[t].push_back({&task.modes[m],
+                                problem.addVariable(0.0, lp::kInf, 0.0)});
         }
     }
     // Start-bound variables.
@@ -159,8 +178,8 @@ lpRelaxationBound(const Model &model)
     // Convexity.
     for (int t = 0; t < model.numTasks(); ++t) {
         std::vector<lp::Term> terms;
-        for (int xv : x[t])
-            terms.push_back({xv, 1.0});
+        for (const ModeColumn &col : x[t])
+            terms.push_back({col.var, 1.0});
         problem.addConstraint(std::move(terms), lp::Relation::Equal, 1.0);
     }
     // Precedence: e_t - e_p - sum d_pm x_pm >= 0.
@@ -169,10 +188,9 @@ lpRelaxationBound(const Model &model)
             std::vector<lp::Term> terms;
             terms.push_back({e[t], 1.0});
             terms.push_back({e[p], -1.0});
-            const Task &ptask = model.task(p);
-            for (size_t m = 0; m < ptask.modes.size(); ++m) {
-                terms.push_back({x[p][m],
-                    -static_cast<double>(ptask.modes[m].duration)});
+            for (const ModeColumn &col : x[p]) {
+                terms.push_back({col.var,
+                    -static_cast<double>(col.mode->duration)});
             }
             problem.addConstraint(std::move(terms),
                                   lp::Relation::GreaterEqual, 0.0);
@@ -189,10 +207,9 @@ lpRelaxationBound(const Model &model)
         std::vector<lp::Term> terms;
         terms.push_back({big_m, 1.0});
         terms.push_back({e[t], -1.0});
-        const Task &task = model.task(t);
-        for (size_t m = 0; m < task.modes.size(); ++m) {
-            terms.push_back({x[t][m],
-                -static_cast<double>(task.modes[m].duration)});
+        for (const ModeColumn &col : x[t]) {
+            terms.push_back({col.var,
+                -static_cast<double>(col.mode->duration)});
         }
         problem.addConstraint(std::move(terms),
                               lp::Relation::GreaterEqual, 0.0);
@@ -201,11 +218,10 @@ lpRelaxationBound(const Model &model)
     for (int g = 0; g < model.numGroups(); ++g) {
         std::vector<lp::Term> terms;
         for (int t = 0; t < model.numTasks(); ++t) {
-            const Task &task = model.task(t);
-            for (size_t m = 0; m < task.modes.size(); ++m) {
-                if (task.modes[m].group == g) {
-                    terms.push_back({x[t][m],
-                        static_cast<double>(task.modes[m].duration)});
+            for (const ModeColumn &col : x[t]) {
+                if (col.mode->group == g) {
+                    terms.push_back({col.var,
+                        static_cast<double>(col.mode->duration)});
                 }
             }
         }
@@ -222,12 +238,11 @@ lpRelaxationBound(const Model &model)
             continue;
         std::vector<lp::Term> terms;
         for (int t = 0; t < model.numTasks(); ++t) {
-            const Task &task = model.task(t);
-            for (size_t m = 0; m < task.modes.size(); ++m) {
-                double coeff = task.modes[m].usage[r] *
-                    static_cast<double>(task.modes[m].duration);
+            for (const ModeColumn &col : x[t]) {
+                double coeff = col.mode->usage[r] *
+                    static_cast<double>(col.mode->duration);
                 if (coeff > 0.0)
-                    terms.push_back({x[t][m], coeff});
+                    terms.push_back({col.var, coeff});
             }
         }
         if (terms.empty())
@@ -239,9 +254,12 @@ lpRelaxationBound(const Model &model)
 
     lp::Solver solver;
     lp::Solution sol = solver.solve(problem);
-    if (!sol.optimal())
-        return 0; // Infeasible relaxation cases are caught elsewhere.
-    return static_cast<Time>(std::ceil(sol.objective - 1e-6));
+    bounds.lpPivots = sol.pivots;
+    // An infeasible relaxation leaves the bound at 0; infeasibility
+    // is caught elsewhere.
+    if (sol.optimal())
+        bounds.lpRelaxation =
+            static_cast<Time>(std::ceil(sol.objective - 1e-6));
 }
 
 } // anonymous namespace
@@ -255,7 +273,7 @@ computeLowerBounds(const Model &model, bool use_lp)
     bounds.groupLoad = groupLoadBound(model);
     bounds.resourceEnergy = resourceEnergyBound(model);
     if (use_lp)
-        bounds.lpRelaxation = lpRelaxationBound(model);
+        lpRelaxationBound(model, bounds);
     return bounds;
 }
 

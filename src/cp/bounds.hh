@@ -14,6 +14,7 @@
 #ifndef HILP_CP_BOUNDS_HH
 #define HILP_CP_BOUNDS_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "model.hh"
@@ -48,9 +49,19 @@ struct LowerBounds
     Time resourceEnergy = 0; //!< Max ceil(min energy / capacity).
     Time lpRelaxation = 0;   //!< Rounded-up LP relaxation value (0
                              //!< when the LP was skipped or failed).
+    int64_t lpPivots = 0;    //!< Simplex pivots the LP took.
 
     /** The tightest of the bounds above. */
     Time best() const;
+
+    /**
+     * Drop the LP bound when a known schedule of the given makespan
+     * refutes it. That schedule is a feasible LP point with M equal
+     * to its makespan, so a correctly solved LP never exceeds it; a
+     * larger value is a numerical failure of the simplex and no
+     * bound at all. Returns true when the LP bound was dropped.
+     */
+    bool dropRefutedLp(Time makespan);
 };
 
 /**

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 
 #include "support/logging.hh"
 #include "support/trace.hh"
@@ -465,11 +466,12 @@ PropagationEngine::fixpoint(PropagationContext &ctx)
         PropagatorStats &stats = stats_[i];
         Propagator::Outcome out;
         // Every kTraceSample-th invocation of a rule becomes a span
-        // on the trace timeline; a null name keeps the span a no-op
-        // on the unsampled (or untraced) calls.
-        bool traced = trace::enabled() &&
-            (stats.invocations & (kTraceSample - 1)) == 0;
-        trace::Span span(traced ? propagators_[i]->name() : nullptr);
+        // on the trace timeline; the unsampled (or untraced) calls
+        // construct no span at all.
+        std::optional<trace::Span> span;
+        if (trace::enabled() &&
+            (stats.invocations & (kTraceSample - 1)) == 0)
+            span.emplace(propagators_[i]->name());
         if ((stats.invocations & (kTimingSample - 1)) == 0) {
             Clock::time_point t0 = Clock::now();
             out = propagators_[i]->propagate(ctx);
@@ -479,8 +481,8 @@ PropagationEngine::fixpoint(PropagationContext &ctx)
         } else {
             out = propagators_[i]->propagate(ctx);
         }
-        if (traced)
-            span.arg(trace::Arg::intArg("bound", out.bound));
+        if (span)
+            span->arg(trace::Arg::intArg("bound", out.bound));
         ++stats.invocations;
         bound = std::max(bound, out.bound);
         if (out.bound >= ctx.ub)

@@ -1,6 +1,7 @@
 #include "solver.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 
 #include "list_scheduler.hh"
@@ -83,6 +84,27 @@ Solver::solve(const Model &model, const ScheduleVec *hint) const
             computeLowerBounds(model, options_.useLpBound);
     }
     result.lowerBound = result.stats.bounds.best();
+    if (options_.useLpBound) {
+        metrics::counter("cp.lp.solves").add(1);
+        metrics::counter("cp.lp.pivots")
+            .add(result.stats.bounds.lpPivots);
+    }
+
+    // A known schedule of makespan T is a feasible LP point with
+    // M = T, so each one the solver holds checks the LP bound before
+    // the bound is used to stop early or to prune.
+    auto refuteLp = [&](Time makespan) {
+        if (!result.stats.bounds.dropRefutedLp(makespan))
+            return;
+        result.lowerBound = result.stats.bounds.best();
+        metrics::counter("cp.bounds.lp_rejected").add(1);
+        static std::atomic<bool> logged{false};
+        if (!logged.exchange(true))
+            warn("LP lower bound exceeds a known schedule of makespan "
+                 "%lld on a %d-task model; the LP bound is dropped "
+                 "(logged once per process)",
+                 static_cast<long long>(makespan), model.numTasks());
+    };
 
     // An external hint (e.g. a schedule transferred from a similar
     // problem) participates as an incumbent candidate when feasible.
@@ -93,6 +115,7 @@ Solver::solve(const Model &model, const ScheduleVec *hint) const
         hint_makespan = hint->makespan(model);
         result.stats.hintAccepted = true;
         result.stats.hintMakespan = hint_makespan;
+        refuteLp(hint_makespan);
     }
 
     // Greedy warm start, refined by priority-order hill climbing.
@@ -103,6 +126,7 @@ Solver::solve(const Model &model, const ScheduleVec *hint) const
         greedy = bestGreedy(model, options_.greedyRestarts,
                             heuristic_seed);
         if (greedy.feasible) {
+            refuteLp(greedy.makespan);
             // Skip the refinement when the greedy (or the hint) is
             // already provably within the target gap.
             Time incumbent = hint_ok
@@ -154,6 +178,7 @@ Solver::solve(const Model &model, const ScheduleVec *hint) const
                                            heuristic_seed + 1);
                 }
             }
+            refuteLp(greedy.makespan);
             result.stats.greedyMakespan = greedy.makespan;
         }
     }

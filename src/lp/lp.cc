@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "support/logging.hh"
 
@@ -61,6 +63,7 @@ struct Tableau
     std::vector<double> cost;            //!< ncols + 1 (rhs = -z).
     std::vector<int> basis;              //!< Basic column per row.
     std::vector<bool> artificial;        //!< Per-column artificial flag.
+    int64_t pivots = 0;                  //!< Pivots performed so far.
 
     double &rhs(int row) { return a[row][ncols]; }
     double rhsVal(int row) const { return a[row][ncols]; }
@@ -90,6 +93,7 @@ struct Tableau
             cost[col] = 0.0;
         }
         basis[row] = col;
+        ++pivots;
     }
 
     /**
@@ -233,9 +237,12 @@ Solver::solve(const Problem &problem) const
         rows.push_back(std::move(row));
     }
 
-    // Normalize to non-negative right-hand sides.
+    // Normalize to non-negative right-hand sides. A >= row with a
+    // zero right-hand side is negated into a <= row too: its slack
+    // then starts basic at 0 and the row needs no artificial.
     for (Row &row : rows) {
-        if (row.rhs < 0.0) {
+        if (row.rhs < 0.0 ||
+            (row.rhs == 0.0 && row.rel == Relation::GreaterEqual)) {
             for (double &c : row.coeffs)
                 c = -c;
             row.rhs = -row.rhs;
@@ -293,6 +300,11 @@ Solver::solve(const Problem &problem) const
     }
 
     Solution sol;
+    auto finish = [&](Status status) {
+        sol.status = status;
+        sol.pivots = t.pivots;
+        return std::move(sol);
+    };
     int pivot_budget = options_.maxPivots;
     std::vector<bool> never_blocked(t.ncols, false);
 
@@ -305,15 +317,11 @@ Solver::solve(const Problem &problem) const
         t.setObjective(phase1_cost);
         PhaseResult pr = runSimplex(t, never_blocked, eps, pivot_budget,
                                     options_.blandThreshold);
-        if (pr == PhaseResult::IterationLimit) {
-            sol.status = Status::IterationLimit;
-            return sol;
-        }
+        if (pr == PhaseResult::IterationLimit)
+            return finish(Status::IterationLimit);
         double phase1_obj = -t.cost[t.ncols];
-        if (phase1_obj > 1e-7) {
-            sol.status = Status::Infeasible;
-            return sol;
-        }
+        if (phase1_obj > 1e-7)
+            return finish(Status::Infeasible);
         // Drive any artificial that is still basic (at value zero)
         // out of the basis if a non-artificial pivot exists.
         for (int i = 0; i < m; ++i) {
@@ -341,16 +349,11 @@ Solver::solve(const Problem &problem) const
     std::vector<bool> blocked = t.artificial;
     PhaseResult pr = runSimplex(t, blocked, eps, pivot_budget,
                                 options_.blandThreshold);
-    if (pr == PhaseResult::IterationLimit) {
-        sol.status = Status::IterationLimit;
-        return sol;
-    }
-    if (pr == PhaseResult::Unbounded) {
-        sol.status = Status::Unbounded;
-        return sol;
-    }
+    if (pr == PhaseResult::IterationLimit)
+        return finish(Status::IterationLimit);
+    if (pr == PhaseResult::Unbounded)
+        return finish(Status::Unbounded);
 
-    sol.status = Status::Optimal;
     sol.x.assign(n, 0.0);
     for (int i = 0; i < m; ++i)
         if (t.basis[i] < n)
@@ -358,7 +361,7 @@ Solver::solve(const Problem &problem) const
     for (int j = 0; j < n; ++j)
         sol.x[j] += shift[j];
     sol.objective = -t.cost[t.ncols] + obj_const;
-    return sol;
+    return finish(Status::Optimal);
 }
 
 } // namespace lp

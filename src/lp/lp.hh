@@ -16,6 +16,15 @@
  *     subject to  a_i^T x (<= | = | >=) b_i     for each constraint i
  *                 lb_j <= x_j <= ub_j           for each variable j
  *
+ * The tableau is dense, so its size is the cost. Every finite upper
+ * bound ub_j becomes one more row plus a slack column: leave out
+ * bounds the constraints already imply (x_j <= 1 under a convexity
+ * row sum_j x_j = 1, say), and drop a variable fixed at zero instead
+ * of bounding it. A >= row with a zero right-hand side is negated
+ * into a <= row, so it starts on its slack and needs no phase-1
+ * artificial; only equality rows and >= rows with a positive
+ * right-hand side (after normalising signs) do.
+ *
  * This is not a high-performance LP code; it is sized for the small,
  * dense relaxations HILP generates (tens to a few hundred variables).
  */
@@ -23,6 +32,7 @@
 #ifndef HILP_LP_LP_HH
 #define HILP_LP_LP_HH
 
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -109,6 +119,8 @@ struct Solution
     Status status = Status::Infeasible;
     double objective = 0.0;
     std::vector<double> x;
+    /** Simplex pivots performed across both phases. */
+    int64_t pivots = 0;
 
     /** True when an optimal point was found. */
     bool optimal() const { return status == Status::Optimal; }

@@ -239,6 +239,75 @@ TEST(Lp, SolutionSatisfiesConstraints)
     EXPECT_LE(3 * s.x[y] + s.x[z], 15.0 + 1e-6);
 }
 
+/**
+ * min M s.t. x + y = 1, M >= 3x + y, M >= x + 2y: the two completion
+ * rows cross at x = 1/3, M = 5/3. `geq` writes them as zero-rhs >=
+ * rows, otherwise as the equivalent <= rows.
+ */
+Problem
+twoCompletionRows(bool geq)
+{
+    Problem p;
+    int x = p.addVariable(0.0, kInf, 0.0);
+    int y = p.addVariable(0.0, kInf, 0.0);
+    int m = p.addVariable(0.0, kInf, 1.0);
+    p.addConstraint({{x, 1.0}, {y, 1.0}}, Relation::Equal, 1.0);
+    const double sign = geq ? 1.0 : -1.0;
+    const Relation rel = geq ? Relation::GreaterEqual
+                             : Relation::LessEqual;
+    p.addConstraint({{m, sign}, {x, -3.0 * sign}, {y, -sign}}, rel, 0.0);
+    p.addConstraint({{m, sign}, {x, -sign}, {y, -2.0 * sign}}, rel, 0.0);
+    return p;
+}
+
+TEST(Lp, ZeroRhsGreaterEqualMatchesLessEqual)
+{
+    Solution geq = Solver().solve(twoCompletionRows(true));
+    Solution leq = Solver().solve(twoCompletionRows(false));
+    ASSERT_TRUE(geq.optimal());
+    ASSERT_TRUE(leq.optimal());
+    EXPECT_NEAR(geq.objective, 5.0 / 3.0, 1e-9);
+    EXPECT_NEAR(leq.objective, 5.0 / 3.0, 1e-9);
+    EXPECT_NEAR(geq.x[0], 1.0 / 3.0, 1e-9);
+    // Both forms start on the rows' slacks, so they walk the same
+    // pivots.
+    EXPECT_GT(geq.pivots, 0);
+    EXPECT_EQ(geq.pivots, leq.pivots);
+}
+
+TEST(Lp, ZeroRhsRowsWithEqualitiesStayInfeasible)
+{
+    // x + y = 1 with y >= 2x and x >= y forces x = y = 0.
+    Problem p;
+    int x = p.addVariable(0.0, kInf, 1.0);
+    int y = p.addVariable(0.0, kInf, 1.0);
+    p.addConstraint({{x, 1.0}, {y, 1.0}}, Relation::Equal, 1.0);
+    p.addConstraint({{y, 1.0}, {x, -2.0}}, Relation::GreaterEqual, 0.0);
+    p.addConstraint({{x, 1.0}, {y, -1.0}}, Relation::GreaterEqual, 0.0);
+    EXPECT_EQ(Solver().solve(p).status, Status::Infeasible);
+}
+
+TEST(Lp, ImpliedUpperBoundChangesNothing)
+{
+    // min -x - 2y + z s.t. x + y + z = 1, y - x <= 0.5: x = 0.25,
+    // y = 0.75. The equality already implies every x_j <= 1.
+    for (double ub : {1.0, kInf}) {
+        SCOPED_TRACE(ub);
+        Problem p;
+        int x = p.addVariable(0.0, ub, -1.0);
+        int y = p.addVariable(0.0, ub, -2.0);
+        int z = p.addVariable(0.0, ub, 1.0);
+        p.addConstraint({{x, 1.0}, {y, 1.0}, {z, 1.0}}, Relation::Equal,
+                        1.0);
+        p.addConstraint({{y, 1.0}, {x, -1.0}}, Relation::LessEqual, 0.5);
+        Solution s = Solver().solve(p);
+        ASSERT_TRUE(s.optimal());
+        EXPECT_NEAR(s.objective, -1.75, 1e-9);
+        EXPECT_NEAR(s.x[x], 0.25, 1e-9);
+        EXPECT_NEAR(s.x[y], 0.75, 1e-9);
+    }
+}
+
 TEST(Lp, StatusNames)
 {
     EXPECT_STREQ(toString(Status::Optimal), "optimal");
