@@ -37,13 +37,10 @@ namespace {
 std::string g_trace_path;
 std::string g_metrics_path;
 int g_solver_threads = 1;
-bool g_deterministic_search = false;
 std::string g_checkpoint_path;
 bool g_resume = false;
 double g_point_timeout_s = 0.0;
 bool g_fail_fast = false;
-bool g_nogoods = false;
-bool g_lns = false;
 std::string g_connect;
 bool g_no_reuse = false;
 size_t g_max_configs = 0;
@@ -95,8 +92,6 @@ initHarness(int *argc, char **argv)
             g_metrics_path = arg + 14;
         else if (std::strncmp(arg, "--solver-threads=", 17) == 0)
             g_solver_threads = std::atoi(arg + 17);
-        else if (std::strcmp(arg, "--deterministic-search") == 0)
-            g_deterministic_search = true;
         else if (std::strncmp(arg, "--checkpoint=", 13) == 0)
             g_checkpoint_path = arg + 13;
         else if (std::strcmp(arg, "--resume") == 0)
@@ -105,10 +100,6 @@ initHarness(int *argc, char **argv)
             g_point_timeout_s = std::atof(arg + 16);
         else if (std::strcmp(arg, "--fail-fast") == 0)
             g_fail_fast = true;
-        else if (std::strcmp(arg, "--nogoods") == 0)
-            g_nogoods = true;
-        else if (std::strcmp(arg, "--lns") == 0)
-            g_lns = true;
         else if (std::strncmp(arg, "--connect=", 10) == 0)
             g_connect = arg + 10;
         else if (std::strncmp(arg, "--coordinator=", 14) == 0)
@@ -193,12 +184,6 @@ solverThreads()
     return g_solver_threads;
 }
 
-bool
-deterministicSearch()
-{
-    return g_deterministic_search;
-}
-
 double
 pointTimeoutS()
 {
@@ -209,18 +194,6 @@ bool
 failFast()
 {
     return g_fail_fast;
-}
-
-bool
-useNogoods()
-{
-    return g_nogoods;
-}
-
-bool
-useLns()
-{
-    return g_lns;
 }
 
 const std::string &
@@ -289,9 +262,6 @@ validationEngine(double solver_seconds)
     options.solver.maxSeconds = solver_seconds;
     options.solver.maxNodes = 400000;
     options.solver.threads = g_solver_threads;
-    options.solver.deterministicSearch = g_deterministic_search;
-    options.solver.useNogoods = g_nogoods;
-    options.solver.lns = g_lns;
     // Rerun near-optimality misses with 4x the budget, as the paper
     // does for its validation experiments.
     options.escalations = 1;
@@ -307,9 +277,6 @@ explorationOptions(double solver_seconds)
     options.engine.solver.maxSeconds = solver_seconds;
     options.engine.solver.maxNodes = 120000;
     options.engine.solver.threads = g_solver_threads;
-    options.engine.solver.deterministicSearch = g_deterministic_search;
-    options.engine.solver.useNogoods = g_nogoods;
-    options.engine.solver.lns = g_lns;
     options.engine.pointTimeoutS = g_point_timeout_s;
     options.failFast = g_fail_fast;
     return options;

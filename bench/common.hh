@@ -35,9 +35,6 @@ namespace bench {
  *   --solver-threads=N  branch-and-bound worker threads for every
  *                       solve the harness runs (1 = serial, the
  *                       default; 0 = borrow from the thread budget).
- *   --deterministic-search
- *                       use the reproducible parallel search mode
- *                       instead of opportunistic work stealing.
  *   --checkpoint=FILE   append completed sweep points to FILE (JSONL)
  *                       as they finish, so an interrupted sweep can
  *                       be resumed.
@@ -49,14 +46,6 @@ namespace bench {
  *                       instead of failing.
  *   --fail-fast         abort the sweep on the first point that
  *                       throws (the pre-fault-isolation behavior).
- *   --nogoods           record no-goods in the branch-and-bound
- *                       search (see cp/nogood.hh): revisited
- *                       placement sets prune against their learned
- *                       bound instead of re-expanding.
- *   --lns               replace the solver's priority hill climbing
- *                       with destroy/repair large-neighborhood
- *                       search (see cp/lns.hh) when tightening the
- *                       greedy incumbent.
  *   --connect=ADDR      route sweeps to a running hilpd daemon at
  *                       ADDR (unix:/path or tcp:host:port) instead
  *                       of evaluating in-process; see runSweep().
@@ -105,20 +94,11 @@ void initHarness(int *argc, char **argv);
 /** The --solver-threads value (default 1 = serial search). */
 int solverThreads();
 
-/** True when --deterministic-search was passed. */
-bool deterministicSearch();
-
 /** The --point-timeout value in seconds (0 = no per-point deadline). */
 double pointTimeoutS();
 
 /** True when --fail-fast was passed. */
 bool failFast();
-
-/** True when --nogoods was passed. */
-bool useNogoods();
-
-/** True when --lns was passed. */
-bool useLns();
 
 /** The --connect address ("" = evaluate in-process). */
 const std::string &connectAddress();

@@ -26,16 +26,15 @@ run_suite() {
 run_suite build
 run_suite build-asan -DHILP_SANITIZE=ON
 
-# Search kernel + no-good + LNS soundness under ASan: the pinned
-# search trees, the start-lag tests, the node-capped incumbent test
-# and the differential tests (no-good pruning preserves the certified
-# optimum, LNS never regresses its incumbent) run again on their own
-# so a heap bug in the one branch-and-bound kernel or the solver hot
-# path fails this stage by name even when the tier1 sweep above is
-# trimmed or filtered.
-echo "==> search kernel + no-good/LNS soundness (ASan)"
+# Search kernel + LNS soundness under ASan: the pinned search trees,
+# the start-lag tests, the node-capped incumbent test and the LNS
+# differential (LNS never regresses its incumbent) run again on their
+# own so a heap bug in the one branch-and-bound kernel or the solver
+# hot path fails this stage by name even when the tier1 sweep above
+# is trimmed or filtered.
+echo "==> search kernel + LNS soundness (ASan)"
 ./build-asan/tests/hilp_test_cp \
-    --gtest_filter='*Nogood*:*Lns*:*NogoodDiff*:*LnsMonotone*:*PinnedTree*:*PinnedSolverMicro*:*StartLags*:*LaggedSearch*'
+    --gtest_filter='*Lns*:*LnsMonotone*:*PinnedTree*:*PinnedSolverMicro*:*StartLags*:*LaggedSearch*'
 ./build-asan/tests/hilp_test_concurrency \
     --gtest_filter='*NodeCappedSearchKeepsItsBestLeaf*'
 
@@ -68,7 +67,7 @@ echo "==> test build-tsan (concurrency under TSan)"
 echo "==> trace smoke test"
 rm -f build/check_trace.*.json
 ./build/bench/solver_micro "--trace-out=build/check_trace.json" \
-    --no-thread-sweep --no-feature-sweep \
+    --no-thread-sweep \
     --benchmark_filter=none > /dev/null
 trace_file=$(ls build/check_trace.*.json)
 ./build/bench/trace_check "${trace_file}"

@@ -1,6 +1,8 @@
 /**
  * @file
- * Large-neighborhood search around an incumbent schedule.
+ * Large-neighborhood search around an incumbent schedule: the
+ * engine's fallback tier (EngineOptions::fallbackLnsIterations)
+ * between returning a bare greedy schedule and failing a point.
  *
  * Classic LNS loop (Shaw-style destroy/repair): each iteration frees
  * a neighborhood of the incumbent - a time window around a random
@@ -15,11 +17,6 @@
  * ("repair = list-schedule + bounded B&B") runs mid-loop and at the
  * end to escape SGS-space local minima; warm-starting guarantees it
  * too can only improve.
- *
- * This lever complements no-good learning: no-goods make the *exact*
- * search cheaper, LNS makes the *incumbent* better when the exact
- * search cannot finish - together they close explore-class instances
- * at their certified gap far faster than either alone.
  */
 
 #ifndef HILP_CP_LNS_HH
@@ -59,8 +56,6 @@ struct LnsOptions
     double targetGap = 0.0;
     /** Certified lower bound used for the targetGap stop. */
     Time lowerBound = 0;
-    /** Let the polish B&B use no-good recording. */
-    bool useNogoods = true;
 };
 
 /** Outcome of an LNS pass. */

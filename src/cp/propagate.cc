@@ -93,19 +93,19 @@ class TimetablePropagator final : public Propagator
         }
     }
 
-    Outcome
+    Time
     propagate(const PropagationContext &ctx) override
     {
-        Outcome out;
+        Time bound = 0;
         for (int r = 0; r < ctx.model.numResources(); ++r) {
             double cap = ctx.model.capacity(r);
             if (cap <= 0.0)
                 continue;
             double energy = placedEnergy_[r] + remainingEnergy_[r];
-            out.bound = std::max(out.bound, static_cast<Time>(
+            bound = std::max(bound, static_cast<Time>(
                 std::ceil(energy / cap - 1e-9)));
         }
-        return out;
+        return bound;
     }
 
   private:
@@ -166,16 +166,14 @@ class DisjunctivePropagator final : public Propagator
             groupBusy_[mode.group] -= mode.duration;
     }
 
-    Outcome
+    Time
     propagate(const PropagationContext &ctx) override
     {
         (void)ctx;
-        Outcome out;
-        for (size_t g = 0; g < groupBusy_.size(); ++g) {
-            out.bound = std::max(out.bound, groupBusy_[g] +
-                                 remainingPinned_[g]);
-        }
-        return out;
+        Time bound = 0;
+        for (size_t g = 0; g < groupBusy_.size(); ++g)
+            bound = std::max(bound, groupBusy_[g] + remainingPinned_[g]);
+        return bound;
     }
 
   private:
@@ -190,14 +188,13 @@ class DisjunctivePropagator final : public Propagator
  * unscheduled task's earliest start from scheduled finishes, the
  * earliest starts of unscheduled predecessors (computed earlier in
  * the same pass), and lag edges; est + tail bounds the makespan.
- * Publishes the earliest starts through the context for downstream
- * propagators.
  */
 class PrecedencePropagator final : public Propagator
 {
   public:
     explicit PrecedencePropagator(const Model &model)
-        : topo_(model.topologicalOrder())
+        : topo_(model.topologicalOrder()),
+          est_(static_cast<size_t>(model.numTasks()), 0)
     {
         // Flatten the per-task predecessor and lag-edge lists into
         // CSR arrays and bake each predecessor's min duration next
@@ -226,10 +223,10 @@ class PrecedencePropagator final : public Propagator
     void onPlace(int, const Mode &, Time) override {}
     void onUnplace(int, const Mode &, Time) override {}
 
-    Outcome
+    Time
     propagate(const PropagationContext &ctx) override
     {
-        Outcome out;
+        Time bound = 0;
         for (int t : topo_) {
             if (ctx.assign[t].scheduled())
                 continue;
@@ -238,23 +235,20 @@ class PrecedencePropagator final : public Propagator
                 const Pred &pred = preds_[k];
                 Time ready = ctx.assign[pred.task].scheduled()
                     ? ctx.end[pred.task]
-                    : ctx.est[pred.task] + pred.minDur;
+                    : est_[pred.task] + pred.minDur;
                 est = std::max(est, ready);
             }
             for (int32_t k = lagOff_[t]; k < lagOff_[t + 1]; ++k) {
                 const Pred &edge = lags_[k];
                 Time p_start = ctx.assign[edge.task].scheduled()
                     ? ctx.assign[edge.task].start
-                    : ctx.est[edge.task];
+                    : est_[edge.task];
                 est = std::max(est, p_start + edge.minDur);
             }
-            if (ctx.est[t] != est) {
-                ctx.est[t] = est;
-                out.changedEst = true;
-            }
-            out.bound = std::max(out.bound, est + ctx.cp.tail[t]);
+            est_[t] = est;
+            bound = std::max(bound, est + ctx.cp.tail[t]);
         }
-        return out;
+        return bound;
     }
 
   private:
@@ -266,96 +260,15 @@ class PrecedencePropagator final : public Propagator
     };
 
     std::vector<int> topo_;
+    /**
+     * Earliest start per task, written in topological order: a pass
+     * reads only the entries of unscheduled tasks it set earlier.
+     */
+    std::vector<Time> est_;
     std::vector<int32_t> predOff_;
     std::vector<Pred> preds_;
     std::vector<int32_t> lagOff_;
     std::vector<Pred> lags_;
-};
-
-/**
- * Energetic reasoning over [est, M] suffix windows: the minimum
- * energy of all unscheduled tasks whose earliest start is >= e must
- * fit into capacity within [e, M], so M >= e + ceil(energy / cap).
- * Strictly stronger than the global energy rule on staggered DAGs;
- * subscribes to est updates so it reruns after precedence tightening.
- */
-class EnergeticPropagator final : public Propagator
-{
-  public:
-    explicit EnergeticPropagator(const Model &model)
-    {
-        const int n = model.numTasks();
-        minEnergy_.assign(n, std::vector<double>(
-            model.numResources(), 0.0));
-        for (int t = 0; t < n; ++t) {
-            const Task &task = model.task(t);
-            for (int r = 0; r < model.numResources(); ++r) {
-                double min_e = -1.0;
-                for (const Mode &mode : task.modes) {
-                    double e = mode.usage[r] *
-                        static_cast<double>(mode.duration);
-                    if (min_e < 0.0 || e < min_e)
-                        min_e = e;
-                }
-                minEnergy_[t][r] = std::max(0.0, min_e);
-            }
-        }
-    }
-
-    const char *name() const override { return "energetic"; }
-
-    void onPlace(int, const Mode &, Time) override {}
-    void onUnplace(int, const Mode &, Time) override {}
-
-    Outcome
-    propagate(const PropagationContext &ctx) override
-    {
-        Outcome out;
-        const Model &model = ctx.model;
-        const int n = model.numTasks();
-        for (int r = 0; r < model.numResources(); ++r) {
-            double cap = model.capacity(r);
-            if (cap <= 0.0)
-                continue;
-            items_.clear();
-            for (int t = 0; t < n; ++t) {
-                if (ctx.assign[t].scheduled())
-                    continue;
-                double e = minEnergy_[t][r];
-                if (e > 0.0)
-                    items_.push_back({ctx.est[t], e});
-            }
-            if (items_.empty())
-                continue;
-            std::sort(items_.begin(), items_.end(),
-                      [](const Item &a, const Item &b) {
-                          return a.est > b.est;
-                      });
-            // Walking est values from latest to earliest, the
-            // running sum is exactly the energy released at or after
-            // the current est.
-            double suffix = 0.0;
-            for (const Item &item : items_) {
-                suffix += item.energy;
-                Time fill = static_cast<Time>(
-                    std::ceil(suffix / cap - 1e-9));
-                out.bound = std::max(out.bound, item.est + fill);
-            }
-        }
-        return out;
-    }
-
-    bool wantsEstUpdates() const override { return true; }
-
-  private:
-    struct Item
-    {
-        Time est;
-        double energy;
-    };
-
-    std::vector<std::vector<double>> minEnergy_;
-    std::vector<Item> items_;
 };
 
 } // anonymous namespace
@@ -400,16 +313,9 @@ makeDisjunctivePropagator(const Model &model)
     return std::make_unique<DisjunctivePropagator>(model);
 }
 
-std::unique_ptr<Propagator>
-makeEnergeticPropagator(const Model &model)
-{
-    return std::make_unique<EnergeticPropagator>(model);
-}
-
 PropagationEngine::PropagationEngine(const Model &model)
     : profile_(model),
-      trail_(&stateArena_),
-      queue_(&stateArena_)
+      trail_(&stateArena_)
 {}
 
 void
@@ -419,7 +325,6 @@ PropagationEngine::add(std::unique_ptr<Propagator> propagator)
     stats.name = propagator->name();
     stats_.push_back(std::move(stats));
     propagators_.push_back(std::move(propagator));
-    queued_.push_back(0);
 }
 
 void
@@ -446,25 +351,16 @@ PropagationEngine::undo()
 }
 
 Time
-PropagationEngine::fixpoint(PropagationContext &ctx)
+PropagationEngine::fixpoint(const PropagationContext &ctx)
 {
     Time bound = std::max(ctx.makespan, ctx.externalLowerBound);
-    const int n = static_cast<int>(propagators_.size());
-    queue_.clear();
-    for (int i = 0; i < n; ++i) {
-        queue_.push_back(i);
-        queued_[i] = 1;
-    }
-    size_t head = 0;
-    while (head < queue_.size()) {
+    for (size_t i = 0; i < propagators_.size(); ++i) {
         // The base bound (or an earlier propagator) may already have
         // proven the cutoff; don't charge it to the next rule.
         if (bound >= ctx.ub)
             break;
-        int i = queue_[head++];
-        queued_[i] = 0;
         PropagatorStats &stats = stats_[i];
-        Propagator::Outcome out;
+        Time rule_bound;
         // Every kTraceSample-th invocation of a rule becomes a span
         // on the trace timeline; the unsampled (or untraced) calls
         // construct no span at all.
@@ -474,28 +370,19 @@ PropagationEngine::fixpoint(PropagationContext &ctx)
             span.emplace(propagators_[i]->name());
         if ((stats.invocations & (kTimingSample - 1)) == 0) {
             Clock::time_point t0 = Clock::now();
-            out = propagators_[i]->propagate(ctx);
+            rule_bound = propagators_[i]->propagate(ctx);
             stats.seconds += std::chrono::duration<double>(
                 Clock::now() - t0).count() *
                 static_cast<double>(kTimingSample);
         } else {
-            out = propagators_[i]->propagate(ctx);
+            rule_bound = propagators_[i]->propagate(ctx);
         }
         if (span)
-            span->arg(trace::Arg::intArg("bound", out.bound));
+            span->arg(trace::Arg::intArg("bound", rule_bound));
         ++stats.invocations;
-        bound = std::max(bound, out.bound);
-        if (out.bound >= ctx.ub)
+        bound = std::max(bound, rule_bound);
+        if (rule_bound >= ctx.ub)
             ++stats.prunings;
-        if (out.changedEst) {
-            for (int j = 0; j < n; ++j) {
-                if (j != i && !queued_[j] &&
-                    propagators_[j]->wantsEstUpdates()) {
-                    queued_[j] = 1;
-                    queue_.push_back(j);
-                }
-            }
-        }
     }
     return bound;
 }

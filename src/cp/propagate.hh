@@ -1,36 +1,29 @@
 /**
  * @file
  * The propagation layer of the CP core: modular pruning rules behind
- * one Propagator interface, driven to fixpoint by a PropagationEngine
- * with trail-based exact undo.
+ * one Propagator interface, run by a PropagationEngine with
+ * trail-based exact undo.
  *
- * Historically the branch-and-bound search fused all of its bound and
- * feasibility reasoning into the recursion: resource-energy
- * accounting, disjunctive-group load, and the critical-path pass were
- * inlined and hand-undone on backtrack. This layer extracts each rule
- * into a Propagator:
+ * Three rules each bound the makespan of any completion of the
+ * current partial schedule:
  *
- *  - "precedence":  critical-path earliest-start propagation over the
- *                   precedence/lag DAG (head/tail bounds).
  *  - "timetable":   timetable-cumulative reasoning - committed plus
  *                   minimum remaining resource energy against each
  *                   capacity.
  *  - "disjunctive": per-group load - busy time already scheduled on a
  *                   device plus the minimum durations still pinned to
  *                   it.
- *  - "energetic":   optional energetic reasoning on the cumulative
- *                   resources (suffix energy over [est, M] windows);
- *                   off by default, plugged in via
- *                   SolverOptions::energeticReasoning.
+ *  - "precedence":  critical-path earliest-start propagation over the
+ *                   precedence/lag DAG (head/tail bounds).
  *
  * The engine owns the shared interval Profile, notifies every
  * propagator of each placement, records placements on a trail so
- * backtracking unwinds *exactly* (integer state throughout), and runs
- * the propagators through a fixpoint queue: a propagator that
- * tightens the shared earliest-start vector re-activates the
- * propagators that subscribe to it. Each propagator carries its own
- * telemetry (invocations, prunings, sampled time) which flows through
- * SearchResult/SolveStats into the DSE reports.
+ * backtracking unwinds *exactly* (integer state throughout), and
+ * runs the rules once each, in the order they were added, stopping
+ * as soon as the bound reaches the incumbent. No rule reads another
+ * rule's output, so one pass is the fixpoint. Each propagator carries
+ * its own telemetry (invocations, prunings, sampled time) which flows
+ * through SearchResult/SolveStats into the DSE reports.
  *
  * New pruning rules plug in without touching search control flow:
  * implement Propagator, add it to the engine, done.
@@ -66,10 +59,10 @@ void mergePropagatorStats(std::vector<PropagatorStats> &into,
                           const std::vector<PropagatorStats> &from);
 
 /**
- * Everything a propagator may read (and the earliest-start vector it
- * may tighten) about the current search node. The assignment/end
- * vectors belong to the search; makespan is the partial schedule's
- * completion time, ub the incumbent to prune against.
+ * Everything a propagator may read about the current search node.
+ * The assignment/end vectors belong to the search; makespan is the
+ * partial schedule's completion time, ub the incumbent to prune
+ * against.
  */
 struct PropagationContext
 {
@@ -80,12 +73,6 @@ struct PropagationContext
     Time makespan = 0;
     Time externalLowerBound = 0;
     Time ub = 0;
-    /**
-     * Scratch earliest-start per task, recomputed inside the
-     * fixpoint; only meaningful for unscheduled tasks and only after
-     * the precedence propagator has run in the current fixpoint.
-     */
-    std::vector<Time> &est;
 };
 
 /**
@@ -108,27 +95,17 @@ class Propagator
     /** Exactly undo the matching onPlace (reverse order). */
     virtual void onUnplace(int task, const Mode &mode, Time start) = 0;
 
-    /** What one propagate() invocation produced. */
-    struct Outcome
-    {
-        /** Lower bound on any completion of this partial schedule. */
-        Time bound = 0;
-        /** The shared est vector changed (wakes subscribers). */
-        bool changedEst = false;
-    };
-
-    /** Run the rule against the current node. */
-    virtual Outcome propagate(const PropagationContext &ctx) = 0;
-
-    /** Re-queue this propagator when another one changes est. */
-    virtual bool wantsEstUpdates() const { return false; }
+    /**
+     * Run the rule against the current node: a lower bound on any
+     * completion of this partial schedule.
+     */
+    virtual Time propagate(const PropagationContext &ctx) = 0;
 };
 
 /** The built-in propagators (see file comment for their rules). */
 std::unique_ptr<Propagator> makePrecedencePropagator(const Model &model);
 std::unique_ptr<Propagator> makeTimetablePropagator(const Model &model);
 std::unique_ptr<Propagator> makeDisjunctivePropagator(const Model &model);
-std::unique_ptr<Propagator> makeEnergeticPropagator(const Model &model);
 
 /**
  * Owns the shared interval Profile, the propagator set, and the
@@ -161,19 +138,19 @@ class PropagationEngine
     size_t depth() const { return trail_.size(); }
 
     /**
-     * Run all propagators to fixpoint and return the node's makespan
-     * lower bound (at least max(ctx.makespan, externalLowerBound)).
-     * Stops early once the bound reaches ctx.ub - the cutoff is
-     * attributed to the propagator that proved it.
+     * Run every propagator once, in add order, and return the node's
+     * makespan lower bound (at least max(ctx.makespan,
+     * externalLowerBound)). Stops early once the bound reaches
+     * ctx.ub - the cutoff is attributed to the propagator that
+     * proved it.
      */
-    Time fixpoint(PropagationContext &ctx);
+    Time fixpoint(const PropagationContext &ctx);
 
     /** Per-propagator telemetry accumulated so far. */
     std::vector<PropagatorStats> stats() const;
 
     /**
-     * Arena backing the trail and fixpoint queue once they outgrow
-     * their inline storage. Never rewound while the engine lives, so
+     * Arena backing the trail once it outgrows its inline storage. Never rewound while the engine lives, so
      * spilled storage stays valid; exposed for scratch accounting.
      */
     const support::Arena &stateArena() const { return stateArena_; }
@@ -190,15 +167,12 @@ class PropagationEngine
     std::vector<std::unique_ptr<Propagator>> propagators_;
     std::vector<PropagatorStats> stats_;
     /**
-     * Spill arena for trail_/queue_ (declared first so it outlives
-     * them). Depth is bounded by the task count, so after one spill
-     * past the inline storage the steady state allocates nothing.
+     * Spill arena for trail_ (declared first so it outlives it).
+     * Depth is bounded by the task count, so after one spill past the
+     * inline storage the steady state allocates nothing.
      */
     support::Arena stateArena_;
     support::SmallVector<TrailEntry, 64> trail_;
-    /** Fixpoint scratch: queued flag per propagator. */
-    std::vector<uint8_t> queued_;
-    support::SmallVector<int, 8> queue_;
 };
 
 } // namespace cp

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "bounds.hh"
-#include "nogood.hh"
 #include "profile.hh"
 #include "propagate.hh"
 #include "start_table.hh"
@@ -41,8 +40,8 @@ constexpr int kAutoSplitDepth = 4;
  * Local nodes between polls of the wall clock, and between updates of
  * the shared node count. The shared count advances in these
  * increments, so an opportunistic search may overshoot maxNodes by up
- * to threads * kBudgetBatch nodes (node limits are exact in
- * private-incumbent modes).
+ * to threads * kBudgetBatch nodes (the serial search's limit is
+ * exact).
  */
 constexpr int64_t kBudgetBatch = 64;
 
@@ -262,12 +261,6 @@ struct Shared
     std::vector<WorkDeque> deques;
     Clock::time_point startTime;
     int threads;
-    /**
-     * Workers prune against the shared incumbent and spill work for
-     * stealing. False for the serial and deterministic searches,
-     * whose workers keep private incumbents.
-     */
-    bool opportunistic;
     int splitDepth;
     /**
      * Spill children once `pending` (queued + in-flight) drops below
@@ -300,16 +293,6 @@ struct Shared
     std::atomic<bool> allDone{false};
     /** Batched global node count for budget checks. */
     std::atomic<int64_t> nodesApprox{0};
-
-    /**
-     * No-good store shared by the opportunistic workers (a recorded
-     * bound is valid for every worker: it is certified either by
-     * propagation or against the shared incumbent, which only
-     * decreases — see nogood.hh). Null when disabled and in the
-     * private-incumbent modes, where each worker keeps a private
-     * store so its node counts stay reproducible.
-     */
-    std::unique_ptr<NogoodStore> nogoods;
 
     /** Parking lot for starving workers (see Worker::waitForWork). */
     std::mutex waitMutex;
@@ -346,14 +329,10 @@ struct Shared
           deques(static_cast<size_t>(threads_in)),
           startTime(Clock::now()),
           threads(threads_in),
-          opportunistic(threads_in > 1 && !limits_in.deterministic),
           splitDepth(limits_in.splitDepth > 0 ? limits_in.splitDepth
                                               : kAutoSplitDepth),
           lowWater(threads_in)
-    {
-        if (limits_in.useNogoods && opportunistic)
-            nogoods.reset(new NogoodStore(limits_in.nogoodCapacity));
-    }
+    {}
 
     /** True once the wall-clock budget or the deadline has passed. */
     bool
@@ -369,7 +348,7 @@ struct Shared
 /**
  * The node-expansion kernel: a private propagation engine, start
  * table and node arena plus the branching state (assignment, eligible
- * set, decision path, Zobrist hash) of one depth-first walk.
+ * set, decision path) of one depth-first walk.
  *
  * Branching: eligible tasks longest tail first, their (mode, start)
  * options by completion, pruned by completion plus tail against the
@@ -378,12 +357,10 @@ struct Shared
  * from:
  *
  *  - serial: one worker with a private incumbent, run from the root;
- *  - deterministic: a private incumbent per worker over a statically
- *    assigned slice of a serially generated frontier;
  *  - opportunistic: the shared incumbent, with children spilled as
  *    stealable subproblems onto the shared deques.
  *
- * Every mode covers the same schedule space, so the returned optima
+ * Both drivers cover the same schedule space, so the returned optima
  * match (the differential tests in tests/cp/test_parallel_search.cc
  * hold this).
  */
@@ -395,7 +372,7 @@ class Worker
           model_(shared.model),
           limits_(shared.limits),
           id_(id),
-          private_(!shared.opportunistic),
+          private_(shared.threads == 1),
           n_(shared.model.numTasks()),
           engine_(shared.model),
           table_(shared.model, shared.cp, engine_.profile())
@@ -403,12 +380,9 @@ class Worker
         engine_.add(makeTimetablePropagator(model_));
         engine_.add(makeDisjunctivePropagator(model_));
         engine_.add(makePrecedencePropagator(model_));
-        if (limits_.energeticReasoning)
-            engine_.add(makeEnergeticPropagator(model_));
 
         assign_.assign(n_, Assignment{});
         end_.assign(n_, 0);
-        est_.assign(n_, 0);
         remainingPreds_.assign(n_, 0);
         for (int t = 0; t < n_; ++t) {
             remainingPreds_[t] =
@@ -421,25 +395,11 @@ class Worker
                 addEligible(t);
 
         privUb_ = shared.incumbent.ub();
-        nodeBudget_ = limits_.maxNodes;
-
-        if (shared.nogoods) {
-            nogoods_ = shared.nogoods.get();
-        } else if (limits_.useNogoods) {
-            // A private store keeps this worker's pruning a function
-            // of its own subtrees only.
-            privateNogoods_.reset(
-                new NogoodStore(limits_.nogoodCapacity));
-            nogoods_ = privateNogoods_.get();
-        }
 
         scratchBaseline_ = scratchHeapBytes();
     }
 
     // -- Telemetry, read by the driver after the join. ------------
-    int64_t nodes() const { return nodes_; }
-    int64_t solutions() const { return solutions_; }
-
     /** Fold this worker's counters into `result`. */
     void
     mergeInto(SearchResult &result, int64_t *arena_heap) const
@@ -449,8 +409,6 @@ class Worker
         result.solutions += solutions_;
         result.steals += steals_;
         result.subproblems += published_;
-        result.nogoodHits += nogoodHits_;
-        result.nogoodsRecorded += nogoodsRecorded_;
         result.startSweeps += table_.sweeps();
         result.startsReused += table_.reused();
         // Scratch heap growth since construction (steady state: 0).
@@ -464,40 +422,21 @@ class Worker
         mergePropagatorStats(result.propagators, engine_.stats());
     }
 
-    // -- Private incumbent (serial and deterministic modes). ------
-    Time privateUb() const { return privUb_; }
-    const ScheduleVec &privateBest() const { return privBest_; }
-    ptrdiff_t privateBestSub() const { return privBestSub_; }
-    bool stoppedOnGap() const { return localStop_; }
-    bool stoppedOnLimit() const { return localLimit_; }
-
-    /** Seed the private incumbent (deterministic worker startup). */
-    void seedPrivate(Time ub) { privUb_ = ub; }
-
-    /** Cap this worker's node count (deterministic budgeting). */
-    void setNodeBudget(int64_t budget) { nodeBudget_ = budget; }
-
-    /** Search the whole tree from the root. */
-    void
-    searchFromRoot()
-    {
-        dfs(0, std::max<Time>(0, limits_.lowerBound), nullptr, -1);
-    }
-
     /**
-     * Serially enumerate the frontier at exactly `depth`: run the
-     * search from the root, but capture every surviving node with
-     * `depth` placements as a subproblem instead of descending into
-     * it. Complete schedules above the frontier become (private)
-     * incumbents. Returns with the worker back at the root state.
+     * Serial mode: search the whole tree from the root against the
+     * private incumbent, and report what it found into `result`.
      */
     void
-    generateFrontier(int depth, std::vector<Subproblem> *out)
+    runSerial(SearchResult &result)
     {
-        collect_ = out;
-        collectDepth_ = depth;
-        searchFromRoot();
-        collect_ = nullptr;
+        dfs(0, nullptr, -1);
+        if (solutions_ > 0) {
+            // Each find strictly improves on the warm start.
+            result.foundSolution = true;
+            result.bestMakespan = privUb_;
+            result.best = privBest_;
+        }
+        result.exhausted = !localStop_ && !localLimit_;
     }
 
     /** Opportunistic mode: pop, steal, search, spill, repeat. */
@@ -525,35 +464,6 @@ class Worker
                                       std::memory_order_relaxed);
         span.arg(trace::Arg::intArg("nodes", nodes_));
         span.arg(trace::Arg::intArg("steals", steals_));
-    }
-
-    /**
-     * Deterministic mode: process frontier[i] for every
-     * i == id (mod threads), in index order, against the private
-     * incumbent only.
-     */
-    void
-    runDeterministic(const std::vector<Subproblem> &frontier)
-    {
-        trace::Span span("cp.search.worker",
-                         trace::Arg::intArg("worker", id_));
-        for (size_t i = static_cast<size_t>(id_);
-             i < frontier.size();
-             i += static_cast<size_t>(shared_.threads)) {
-            if (localStop_ || localLimit_)
-                break;
-            // Poll the wall-clock budgets between subproblems too:
-            // nodeAdmission only checks every kBudgetBatch nodes
-            // *inside* a subtree, so a frontier of cheap subproblems
-            // could otherwise coast past the deadline.
-            if (shared_.outOfTime()) {
-                localLimit_ = true;
-                break;
-            }
-            curSub_ = static_cast<ptrdiff_t>(i);
-            process(frontier[i]);
-        }
-        span.arg(trace::Arg::intArg("nodes", nodes_));
     }
 
   private:
@@ -606,7 +516,6 @@ class Worker
         engine_.place(d.task, mode, d.start);
         assign_[d.task] = {d.mode, d.start};
         end_[d.task] = d.start + mode.duration;
-        hash_ ^= nogoodCode(d.task, d.mode, d.start);
         ++scheduled_;
         removeEligible(d.task);
         forEachSuccessor(d.task, [this](int s) {
@@ -624,7 +533,6 @@ class Worker
         hilp_assert(!path_.empty());
         const Decision d = path_.back();
         path_.pop_back();
-        hash_ ^= nogoodCode(d.task, d.mode, d.start);
         forEachSuccessor(d.task, [this](int s) {
             if (remainingPreds_[s]++ == 0)
                 removeEligible(s);
@@ -665,7 +573,7 @@ class Worker
             (nodes_ & (kNodeTraceSample - 1)) == 0)
             trace::instant("cp.nodes",
                            trace::Arg::intArg("nodes", nodes_));
-        if (private_ && nodes_ >= nodeBudget_)
+        if (private_ && nodes_ >= limits_.maxNodes)
             localLimit_ = true;
         if ((nodes_ & (kBudgetBatch - 1)) == 0) {
             if (!private_ &&
@@ -695,7 +603,6 @@ class Worker
                 return;
             privUb_ = makespan;
             privBest_.tasks = assign_;
-            privBestSub_ = curSub_;
         } else if (!shared_.incumbent.offer(makespan, assign_)) {
             return;
         }
@@ -769,55 +676,26 @@ class Worker
     }
 
     /**
-     * One node. `inherited_bound` is a certified lower bound on the
-     * subtree (kept by captured and published subproblems);
-     * `parent_starts` is the parent node's earliest-start table and
-     * `placed` the task the parent just placed (nullptr and -1 at the
-     * root of a walk, so a replayed prefix starts from a fresh
-     * table; see start_table.hh).
+     * One node. `parent_starts` is the parent node's earliest-start
+     * table and `placed` the task the parent just placed (nullptr and
+     * -1 at the root of a walk, so a replayed prefix starts from a
+     * fresh table; see start_table.hh).
      */
     void
-    dfs(Time makespan, Time inherited_bound, const Time *parent_starts,
-        int placed)
+    dfs(Time makespan, const Time *parent_starts, int placed)
     {
-        if (collect_ && scheduled_ == collectDepth_ &&
-            scheduled_ < n_) {
-            collect_->push_back(
-                Subproblem{path_, inherited_bound});
-            return;
-        }
         if (nodeAdmission())
             return;
         if (scheduled_ == n_) {
             offer(makespan);
             return;
         }
-        // A recorded no-good proves every completion of this
-        // placement set is >= its bound; prune when that cannot beat
-        // the incumbent this worker sees right now.
-        if (nogoods_ && scheduled_ > 0) {
-            Time known = nogoods_->lookup(hash_);
-            if (known != NogoodStore::kNoBound &&
-                known >= currentUb()) {
-                ++nogoodHits_;
-                return;
-            }
-        }
         Time ub = currentUb();
-        PropagationContext ctx{model_, shared_.cp, assign_, end_,
-                               makespan, limits_.lowerBound, ub,
-                               est_};
-        Time node_bound = engine_.fixpoint(ctx);
-        if (node_bound >= ub) {
-            // Certified by propagation alone. Skipped during
-            // frontier capture only to keep generation free of
-            // store-order effects.
-            if (nogoods_ && scheduled_ > 0 && !collect_) {
-                nogoods_->record(hash_, node_bound, scheduled_);
-                ++nogoodsRecorded_;
-            }
+        Time node_bound = engine_.fixpoint(
+            PropagationContext{model_, shared_.cp, assign_, end_,
+                               makespan, limits_.lowerBound, ub});
+        if (node_bound >= ub)
             return;
-        }
 
         // The branch order, the start table and the per-task option
         // lists live in arena scratch released wholesale when the
@@ -828,7 +706,10 @@ class Worker
         Time *starts = table_.build(nodeArena_, eligible_, parent_starts,
                                     placed, assign_, end_, ub);
 
+        // A spilling node collects its children instead of recursing,
+        // so spilled_ holds this node's children only.
         bool spill = shouldSpill();
+        spilled_.clear();
         for (size_t bi = 0; bi < num_branch; ++bi) {
             int t = branch_tasks[bi];
             Option *options = nodeArena_.allocArray<Option>(
@@ -844,12 +725,11 @@ class Worker
                     node_bound,
                     static_cast<Time>(opt.complete + tail_after));
                 if (spill) {
-                    publish(d, child_bound);
+                    spilled_.push_back({d, child_bound});
                     continue;
                 }
                 apply(d);
-                dfs(std::max(makespan, opt.complete), child_bound,
-                    starts, t);
+                dfs(std::max(makespan, opt.complete), starts, t);
                 undo();
                 if (abortRequested())
                     return;
@@ -859,20 +739,18 @@ class Worker
                     break; // Options are completion-sorted.
             }
         }
-        // Record only when this node's subtree was really explored:
-        // not when children were spilled for stealing or captured
-        // into a frontier, and not on a budget/gap unwind (those
-        // return early above). The bound is the incumbent at *this*
-        // moment; it only decreases afterwards, so the no-good stays
-        // valid for every other worker too.
-        if (nogoods_ && scheduled_ > 0 && !spill && !collect_) {
-            nogoods_->record(hash_, currentUb(), scheduled_);
-            ++nogoodsRecorded_;
-        }
+        // The owner pops from the back of its deque, so pushing the
+        // children last-first hands them back in branch order.
+        if (spill)
+            for (size_t i = spilled_.size(); i > 0; --i)
+                publish(spilled_[i - 1].first, spilled_[i - 1].second);
         ++backtracks_;
     }
 
-    /** Replay a subproblem's prefix, search it, and unwind. */
+    /**
+     * Opportunistic mode: replay a subproblem's prefix, search it,
+     * unwind, and retire it from the shared accounting.
+     */
     void
     process(const Subproblem &sub)
     {
@@ -882,18 +760,16 @@ class Worker
             Time makespan = 0;
             for (const Decision &d : sub.prefix)
                 makespan = std::max(makespan, apply(d));
-            dfs(makespan, sub.bound, nullptr, -1);
+            dfs(makespan, nullptr, -1);
             for (size_t i = 0; i < sub.prefix.size(); ++i)
                 undo();
         }
-        if (!private_) {
-            shared_.aggregator.remove(sub.bound);
-            // Only now does the subproblem leave the in-flight set:
-            // any children it spilled are already counted, so
-            // `pending` can never read 0 while work is unexplored.
-            shared_.pending.fetch_sub(1, std::memory_order_acq_rel);
-            sharedGapCheck();
-        }
+        shared_.aggregator.remove(sub.bound);
+        // Only now does the subproblem leave the in-flight set: any
+        // children it spilled are already counted, so `pending` can
+        // never read 0 while work is unexplored.
+        shared_.pending.fetch_sub(1, std::memory_order_acq_rel);
+        sharedGapCheck();
     }
 
     /**
@@ -1004,35 +880,20 @@ class Worker
     int64_t scratchBaseline_ = 0;
     std::vector<Assignment> assign_;
     std::vector<Time> end_;
-    /** Earliest-start scratch shared with the propagators. */
-    std::vector<Time> est_;
     std::vector<int> remainingPreds_;
     std::vector<int> eligible_;
     /** Position of each task inside eligible_, or -1 when absent. */
     std::vector<int> eligiblePos_;
     std::vector<Decision> path_;
     int scheduled_ = 0;
+    /** Children of a spilling node, published once it is expanded. */
+    std::vector<std::pair<Decision, Time>> spilled_;
 
-    // Frontier capture (deterministic generation).
-    std::vector<Subproblem> *collect_ = nullptr;
-    int collectDepth_ = 0;
-
-    /** Zobrist key of the current placement set (see nogood.hh). */
-    uint64_t hash_ = 0;
-    /** Shared or private store; null when no-goods are disabled. */
-    NogoodStore *nogoods_ = nullptr;
-    std::unique_ptr<NogoodStore> privateNogoods_;
-    int64_t nogoodHits_ = 0;
-    int64_t nogoodsRecorded_ = 0;
-
-    // Private incumbent (serial and deterministic modes).
+    // Private incumbent (serial mode).
     Time privUb_ = 0;
     ScheduleVec privBest_;
-    ptrdiff_t privBestSub_ = -1;
-    ptrdiff_t curSub_ = -1;
     bool localStop_ = false;
     bool localLimit_ = false;
-    int64_t nodeBudget_ = 0;
 
     int64_t nodes_ = 0;
     int64_t backtracks_ = 0;
@@ -1045,8 +906,7 @@ using Workers = std::vector<std::unique_ptr<Worker>>;
 
 /** Per-search metrics flush, once per search rather than per node. */
 void
-flushMetrics(const SearchResult &result, bool use_nogoods,
-             int64_t arena_heap)
+flushMetrics(const SearchResult &result, int64_t arena_heap)
 {
     metrics::counter("cp.search.nodes").add(result.nodes);
     metrics::counter("cp.search.backtracks").add(result.backtracks);
@@ -1057,11 +917,6 @@ flushMetrics(const SearchResult &result, bool use_nogoods,
         metrics::counter("cp.par.searches").add(1);
         metrics::counter("cp.par.steals").add(result.steals);
         metrics::counter("cp.par.subproblems").add(result.subproblems);
-    }
-    if (use_nogoods) {
-        metrics::counter("cp.nogood.hits").add(result.nogoodHits);
-        metrics::counter("cp.nogood.recorded")
-            .add(result.nogoodsRecorded);
     }
     int64_t invocations = 0;
     int64_t prunings = 0;
@@ -1076,114 +931,6 @@ flushMetrics(const SearchResult &result, bool use_nogoods,
     metrics::gauge("hilp.arena.highwater")
         .set(static_cast<double>(result.arenaHighWater));
     metrics::counter("hilp.arena.rewinds").add(result.arenaRewinds);
-}
-
-/**
- * Deterministic frontier: iterative deepening until the frontier is
- * wide enough to keep the crew busy (or the tree stops widening).
- * An explicit SearchLimits::splitDepth pins the depth instead.
- */
-std::vector<Subproblem>
-buildFrontier(Worker &generator, const SearchLimits &limits,
-              int threads, int num_tasks)
-{
-    std::vector<Subproblem> frontier;
-    if (limits.splitDepth > 0) {
-        generator.generateFrontier(
-            std::min(limits.splitDepth, num_tasks), &frontier);
-        return frontier;
-    }
-    size_t target = static_cast<size_t>(threads) * 4;
-    for (int depth = 1; depth <= num_tasks; ++depth) {
-        std::vector<Subproblem> candidate;
-        generator.generateFrontier(depth, &candidate);
-        if (generator.stoppedOnLimit() || generator.stoppedOnGap())
-            return candidate;
-        bool grew = candidate.size() > frontier.size();
-        frontier = std::move(candidate);
-        if (frontier.size() >= target || frontier.empty())
-            break;
-        if (depth > 1 && !grew)
-            break; // The tree is not widening; stop deepening.
-    }
-    return frontier;
-}
-
-/**
- * Deterministic mode: workers[0] generates the frontier serially,
- * then a crew of private-incumbent workers splits it round-robin.
- */
-void
-runDeterministic(Shared &shared, Workers &workers,
-                 SearchResult &result)
-{
-    const SearchLimits &limits = shared.limits;
-    int threads = shared.threads;
-    Worker &generator = *workers[0];
-    std::vector<Subproblem> frontier = buildFrontier(
-        generator, limits, threads, shared.model.numTasks());
-
-    // The generation pass may have solved the whole tree (all
-    // leaves shallower than the frontier, or everything pruned).
-    if (frontier.empty() || generator.stoppedOnLimit() ||
-        generator.stoppedOnGap())
-        return;
-    // Register the frontier for telemetry parity.
-    result.subproblems += static_cast<int64_t>(frontier.size());
-
-    for (int w = 1; w < threads; ++w) {
-        workers.push_back(std::make_unique<Worker>(shared, w));
-        workers.back()->seedPrivate(generator.privateUb());
-    }
-    // Reproducible budgeting: every worker gets an equal slice of
-    // the node budget, the generator keeps what it already spent
-    // plus its slice.
-    int64_t slice = std::max<int64_t>(1, limits.maxNodes / threads);
-    generator.setNodeBudget(generator.nodes() + slice);
-    for (size_t w = 1; w < workers.size(); ++w)
-        workers[w]->setNodeBudget(slice);
-
-    std::vector<std::thread> crew;
-    crew.reserve(workers.size() - 1);
-    for (size_t w = 1; w < workers.size(); ++w) {
-        Worker *worker = workers[w].get();
-        crew.emplace_back([worker, &frontier, w] {
-            trace::setThreadName(format("cp-worker-%zu", w));
-            worker->runDeterministic(frontier);
-        });
-    }
-    generator.runDeterministic(frontier);
-    for (std::thread &thread : crew)
-        thread.join();
-}
-
-/**
- * Merge private incumbents: the best makespan wins, ties go to the
- * earliest frontier index (finds above the frontier count as -1).
- * Each worker only records strict improvements over its seed, which
- * is at least as good as the warm start, so any find replaces it.
- */
-void
-mergePrivate(const Workers &workers, SearchResult &result)
-{
-    const Worker *winner = nullptr;
-    bool stopped = false;
-    for (const auto &worker : workers) {
-        stopped = stopped || worker->stoppedOnLimit() ||
-                  worker->stoppedOnGap();
-        if (worker->solutions() == 0)
-            continue;
-        if (!winner || worker->privateUb() < winner->privateUb() ||
-            (worker->privateUb() == winner->privateUb() &&
-             worker->privateBestSub() < winner->privateBestSub()))
-            winner = worker.get();
-    }
-    if (winner) {
-        result.foundSolution = true;
-        result.bestMakespan = winner->privateUb();
-        result.best = winner->privateBest();
-    }
-    result.exhausted = !stopped;
 }
 
 /** Opportunistic mode: the crew shares one incumbent and the deques. */
@@ -1258,14 +1005,10 @@ branchAndBound(const Model &model, const ScheduleVec *warm_start,
         // budget batch, before any worker polls the clock, and a run
         // the caller cut would claim `exhausted`. (The solver caps a
         // serial search past its deadline at one node itself.)
-    } else if (shared.opportunistic) {
+    } else if (threads > 1) {
         runOpportunistic(shared, workers, result);
     } else {
-        if (threads == 1)
-            workers[0]->searchFromRoot();
-        else
-            runDeterministic(shared, workers, result);
-        mergePrivate(workers, result);
+        workers[0]->runSerial(result);
     }
 
     int64_t arena_heap = 0;
@@ -1277,7 +1020,7 @@ branchAndBound(const Model &model, const ScheduleVec *warm_start,
         span.arg(trace::Arg::intArg("threads", threads));
         span.arg(trace::Arg::intArg("steals", result.steals));
     }
-    flushMetrics(result, limits.useNogoods, arena_heap);
+    flushMetrics(result, arena_heap);
     return result;
 }
 

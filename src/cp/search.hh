@@ -12,29 +12,25 @@
  * incumbent only when it is strictly better.
  *
  * One node-expansion kernel (search.cc's Worker: propagation engine,
- * start table, node arena, eligible set, decision path, no-good hash
- * and the one dfs) runs under three drivers:
+ * start table, node arena, eligible set, decision path and the one
+ * dfs) runs under two drivers:
  *
  *  - Serial (SearchLimits::threads <= 1): one kernel with a private
  *    incumbent, walking the tree from the root. Node limits are
  *    exact and the walk is deterministic.
- *  - Deterministic (threads >= 2, SearchLimits::deterministic): the
- *    frontier is generated serially at a fixed depth and assigned
- *    round-robin; workers keep private incumbents (no stealing, no
- *    sharing), and results merge by (makespan, subproblem index). A
- *    run that completes within its node budget is exactly
- *    reproducible for a given thread count.
- *  - Opportunistic (threads >= 2, the default parallel mode): the
- *    same tree decomposed into *subproblems* — decision prefixes from
- *    the root — searched by a crew of workers:
+ *  - Opportunistic (threads >= 2): the same tree decomposed into
+ *    *subproblems* — decision prefixes from the root — searched by a
+ *    crew of workers:
  *     - Frontier splitting: nodes above SearchLimits::splitDepth are
  *       expanded into child subproblems pushed onto the owning
  *       worker's deque instead of being recursed into; deeper nodes
  *       also spill their children whenever other workers are
  *       starving, so one hard subtree cannot serialize the crew.
  *     - Chase–Lev-style deques: the owner pushes and pops at the
- *       bottom (depth-first order), thieves steal half from the top —
- *       the shallowest, largest subtrees.
+ *       bottom, thieves steal half from the top — the shallowest,
+ *       largest subtrees. A node's children are pushed in reverse,
+ *       so the owner pops them in branch order, as the serial walk
+ *       visits them.
  *     - Shared incumbent: the best makespan is a CAS-updated atomic
  *       every worker prunes against; the schedule itself is
  *       published under a mutex by whichever worker wins the CAS.
@@ -44,7 +40,7 @@
  *       remaining subtrees) as a sound global lower bound instead of
  *       only the weaker external bound.
  *
- * All three return the same optimal makespans and the same
+ * Both return the same optimal makespans and the same
  * exhausted/foundSolution statuses; only node counts differ (pruning
  * happens in a different order). See tests/cp/test_parallel_search.cc
  * for the differential guarantee.
@@ -92,30 +88,14 @@ struct SearchLimits
      */
     Time lowerBound = 0;
     /**
-     * Plug the optional energetic-reasoning propagator into the
-     * propagation engine (suffix-energy windows over earliest
-     * starts). Off by default: it changes which nodes get pruned, so
-     * it is opt-in per solve.
-     */
-    bool energeticReasoning = false;
-    /**
      * Worker threads for the branch-and-bound tree walk. 1 (the
      * default) runs the serial driver, a deterministic depth-first
-     * walk; larger values run a parallel driver (see the file
+     * walk; larger values run the opportunistic driver (see the file
      * comment), which explores a different node set but returns the
      * same optimal makespans and the same exhausted/foundSolution
      * statuses.
      */
     int threads = 1;
-    /**
-     * Parallel determinism mode: partition the frontier statically,
-     * keep per-worker incumbents, and merge deterministically, so a
-     * run that finishes within its budgets is exactly reproducible
-     * for a fixed thread count. Off (the default) shares the
-     * incumbent opportunistically, which prunes harder but makes
-     * node counts (never results) run-dependent.
-     */
-    bool deterministic = false;
     /**
      * Tree depth down to which the parallel search splits nodes into
      * stealable subproblems instead of recursing. 0 picks a default;
@@ -123,21 +103,12 @@ struct SearchLimits
      */
     int splitDepth = 0;
     /**
-     * No-good recording (see nogood.hh): cache proven makespan
-     * bounds for visited placement sets and prune transpositions.
-     * Preserves optimality and exhaustion statuses but changes node
-     * counts, so it is opt-in. The opportunistic parallel search
-     * shares one store across workers; the serial and deterministic
-     * searches use private stores and stay exactly reproducible.
+     * Ignored; set only by perfbench, removed with `packedLayout` in
+     * the next benchmark-maintenance change.
      */
+    bool energeticReasoning = false;
     bool useNogoods = false;
-    /** Entry budget for the no-good store (rounded up to 2^k). */
     size_t nogoodCapacity = 1 << 16;
-    /**
-     * Ignored: the solver core has a single memory layout. Kept so
-     * callers written against the former packed/legacy choice still
-     * compile.
-     */
     bool packedLayout = true;
 };
 
@@ -162,10 +133,6 @@ struct SearchResult
     int64_t steals = 0;
     /** Parallel search: subproblems published for stealing. */
     int64_t subproblems = 0;
-    /** Nodes pruned by a recorded no-good (0 when disabled). */
-    int64_t nogoodHits = 0;
-    /** No-goods recorded into the store (0 when disabled). */
-    int64_t nogoodsRecorded = 0;
     /**
      * Profile sweeps (Profile::earliestStart calls) the per-node
      * start tables ran; see start_table.hh. Deterministic for a

@@ -5,7 +5,6 @@
 #include <chrono>
 
 #include "list_scheduler.hh"
-#include "lns.hh"
 #include "search.hh"
 #include "support/hash.hh"
 #include "support/logging.hh"
@@ -34,13 +33,9 @@ toString(SolveStatus status)
     return "unknown";
 }
 
-namespace {
-
 /**
- * The heuristic seed every stochastic component derives from: the
- * plain option seed when no salt is set (the historical behavior),
- * otherwise the seed mixed with the salt so distinct instances and
- * retry attempts sharing a seed take distinct trajectories.
+ * Distinct instances and retry attempts sharing a seed take distinct
+ * trajectories; no salt keeps the historical behavior.
  */
 uint64_t
 saltedSeed(const SolverOptions &options)
@@ -52,8 +47,6 @@ saltedSeed(const SolverOptions &options)
     hasher.u64(options.seedSalt);
     return hasher.digest();
 }
-
-} // anonymous namespace
 
 double
 Result::gap() const
@@ -141,42 +134,9 @@ Solver::solve(const Model &model, const ScheduleVec *hint) const
             // skipped.
             if (greedy_gap > options_.targetGap &&
                 std::chrono::steady_clock::now() < options_.deadline) {
-                if (options_.lns) {
-                    // Destroy/repair LNS around the best incumbent
-                    // available (greedy or hint); monotone, so the
-                    // result replaces the greedy unconditionally.
-                    LnsOptions lns;
-                    lns.iterations = options_.lnsIterations;
-                    lns.maxSeconds = options_.maxSeconds * 0.25;
-                    lns.deadline = options_.deadline;
-                    lns.seed = heuristic_seed + 1;
-                    lns.polishNodes = options_.lnsPolishNodes;
-                    lns.targetGap = options_.targetGap;
-                    lns.lowerBound = result.lowerBound;
-                    lns.useNogoods = options_.useNogoods;
-                    const ScheduleVec &seed_schedule =
-                        hint_ok && hint_makespan < greedy.makespan
-                            ? *hint
-                            : greedy.schedule;
-                    LnsResult improved =
-                        lnsImprove(model, seed_schedule, lns);
-                    greedy.schedule = improved.schedule;
-                    greedy.makespan = improved.makespan;
-                    result.stats.lnsIterationsRun =
-                        improved.iterations;
-                    result.stats.lnsImprovements =
-                        improved.improvements;
-                    result.stats.lnsTrajectoryDigest =
-                        improved.trajectoryDigest;
-                    metrics::counter("cp.lns.iterations")
-                        .add(improved.iterations);
-                    metrics::counter("cp.lns.improvements")
-                        .add(improved.improvements);
-                } else {
-                    greedy = improveGreedy(model, greedy,
-                                           options_.lnsIterations,
-                                           heuristic_seed + 1);
-                }
+                greedy = improveGreedy(model, greedy,
+                                       options_.lnsIterations,
+                                       heuristic_seed + 1);
             }
             refuteLp(greedy.makespan);
             result.stats.greedyMakespan = greedy.makespan;
@@ -197,11 +157,7 @@ Solver::solve(const Model &model, const ScheduleVec *hint) const
     limits.deadline = options_.deadline;
     limits.targetGap = options_.targetGap;
     limits.lowerBound = result.lowerBound;
-    limits.energeticReasoning = options_.energeticReasoning;
-    limits.deterministic = options_.deterministicSearch;
     limits.splitDepth = options_.splitDepth;
-    limits.useNogoods = options_.useNogoods;
-    limits.nogoodCapacity = options_.nogoodCapacity;
 
     // threads == 0 means "borrow what the machine has to spare":
     // the caller's own thread is implicitly budgeted, extra workers
@@ -233,8 +189,6 @@ Solver::solve(const Model &model, const ScheduleVec *hint) const
     result.stats.searchThreads = search.threadsUsed;
     result.stats.steals = search.steals;
     result.stats.subproblems = search.subproblems;
-    result.stats.nogoodHits = search.nogoodHits;
-    result.stats.nogoodsRecorded = search.nogoodsRecorded;
     result.stats.startSweeps = search.startSweeps;
     result.stats.startsReused = search.startsReused;
     result.stats.scratchBytes = search.scratchBytes;

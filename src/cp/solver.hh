@@ -63,73 +63,55 @@ struct SolverOptions
     /** Random restarts for the greedy warm start. */
     int greedyRestarts = 8;
     /**
-     * Incumbent-improvement iterations before the search: priority
-     * hill-climbing by default, destroy/repair LNS when `lns` is
-     * set (see lns.hh).
+     * Priority hill-climbing iterations that refine the greedy
+     * incumbent before the search.
      */
     int lnsIterations = 400;
     /** Seed for the greedy restarts. */
     uint64_t seed = 1;
     /**
      * Diversification salt mixed into `seed` for every stochastic
-     * heuristic (greedy restarts, hill climbing, LNS destroy moves).
-     * 0 (the default) reproduces the historical unsalted seeding bit
-     * for bit. The engine salts it with the problem fingerprint so
+     * heuristic (greedy restarts, hill climbing, the engine's fallback
+     * LNS). 0 (the default) reproduces the historical unsalted
+     * seeding bit for bit. The engine salts it with the problem fingerprint so
      * different instances sharing a seed explore different heuristic
      * trajectories, and the sweep's fault-isolation retry salts it
      * with the attempt index so a retried point never replays the
-     * exact destroy sequence that preceded the failure. The salt
+     * exact heuristic trajectory that preceded the failure. The salt
      * only diversifies heuristics: bounds, statuses, and gap
      * certificates are unaffected.
      */
     uint64_t seedSalt = 0;
     /**
-     * Plug the optional energetic-reasoning propagator into the
-     * search's propagation engine. Off by default (it changes the
-     * explored tree, so results stay reproducible across versions).
-     */
-    bool energeticReasoning = false;
-    /**
      * Branch-and-bound worker threads. 1 (the default) runs the
      * serial driver, a deterministic depth-first walk. Larger values
-     * run a parallel driver (see search.hh). 0 sizes the crew from the
-     * process-wide ThreadBudget: the solve borrows whatever slots
-     * are currently free (degrading gracefully to serial when a DSE
-     * sweep is using the machine) and returns them afterwards.
+     * run the opportunistic parallel driver (see search.hh). 0 sizes
+     * the crew from the process-wide ThreadBudget: the solve borrows
+     * whatever slots are currently free (degrading gracefully to
+     * serial when a DSE sweep is using the machine) and returns them
+     * afterwards.
      */
     int threads = 1;
-    /**
-     * Use the deterministic parallel search (static frontier
-     * partition, private incumbents, reproducible merge) instead of
-     * the opportunistic work-stealing one. Only meaningful when
-     * threads != 1.
-     */
-    bool deterministicSearch = false;
     /**
      * Frontier split depth for the parallel search; 0 picks a
      * default (see SearchLimits::splitDepth).
      */
     int splitDepth = 0;
     /**
-     * No-good recording in the branch-and-bound (see nogood.hh).
-     * Preserves every status and optimality guarantee but changes
-     * node counts, so it is opt-in.
+     * Ignored; set only by perfbench, removed with `packedLayout` in
+     * the next benchmark-maintenance change.
      */
+    bool energeticReasoning = false;
     bool useNogoods = false;
-    /** Entry budget for the no-good store (rounded up to 2^k). */
     size_t nogoodCapacity = 1 << 16;
-    /** Ignored (see SearchLimits::packedLayout). */
     bool packedLayout = true;
-    /**
-     * Replace the pre-search hill climb with destroy/repair LNS
-     * around the greedy incumbent (see lns.hh): stronger incumbents
-     * on instances the exact search cannot close, at the same
-     * monotone never-worse guarantee.
-     */
-    bool lns = false;
-    /** Node budget for each bounded B&B polish inside the LNS. */
-    int64_t lnsPolishNodes = 2000;
 };
+
+/**
+ * The seed every stochastic heuristic of a solve derives from:
+ * `options.seed` when `options.seedSalt` is 0, else the two mixed.
+ */
+uint64_t saltedSeed(const SolverOptions &options);
 
 /** Effort accounting for a solve. */
 struct SolveStats
@@ -151,10 +133,6 @@ struct SolveStats
     int64_t steals = 0;
     /** Parallel search: subproblems published for stealing. */
     int64_t subproblems = 0;
-    /** Nodes pruned by a recorded no-good (0 when disabled). */
-    int64_t nogoodHits = 0;
-    /** No-goods recorded into the store (0 when disabled). */
-    int64_t nogoodsRecorded = 0;
     /** Profile sweeps run by the B&B start tables. */
     int64_t startSweeps = 0;
     /** B&B start-table entries filled without a sweep. */
@@ -165,17 +143,6 @@ struct SolveStats
     int64_t arenaHighWater = 0;
     /** Arena rewinds performed by the search. */
     int64_t arenaRewinds = 0;
-    /** LNS destroy/repair iterations run (0 unless `lns` is on). */
-    int64_t lnsIterationsRun = 0;
-    /** LNS iterations that strictly improved the incumbent. */
-    int64_t lnsImprovements = 0;
-    /**
-     * Order-sensitive digest of the LNS destroy decisions (operator
-     * and freed set per iteration); 0 unless `lns` ran. Two solves
-     * replay the same destroy trajectory iff their digests match,
-     * which is what the retry-seeding regression test asserts.
-     */
-    uint64_t lnsTrajectoryDigest = 0;
     /** Per-propagator telemetry from the propagation engine. */
     std::vector<PropagatorStats> propagators;
 };

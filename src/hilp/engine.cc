@@ -249,14 +249,8 @@ engineOptionsDigest(const EngineOptions &options)
     hasher.i64(solver.lnsIterations);
     hasher.u64(solver.seed);
     hasher.u64(solver.seedSalt);
-    hasher.boolean(solver.energeticReasoning);
     hasher.i64(solver.threads);
-    hasher.boolean(solver.deterministicSearch);
     hasher.i64(solver.splitDepth);
-    hasher.boolean(solver.useNogoods);
-    hasher.u64(solver.nogoodCapacity);
-    hasher.boolean(solver.lns);
-    hasher.i64(solver.lnsPolishNodes);
     return hasher.digest();
 }
 
@@ -560,13 +554,7 @@ listSchedulerFallback(const ProblemSpec &spec, double step_s,
     // Same salted seeding as the solver facade: the fallback's
     // greedy and LNS passes must diversify across instances and
     // retry attempts too.
-    uint64_t heuristic_seed = options.solver.seed;
-    if (options.solver.seedSalt != 0) {
-        Hasher hasher;
-        hasher.u64(heuristic_seed);
-        hasher.u64(options.solver.seedSalt);
-        heuristic_seed = hasher.digest();
-    }
+    const uint64_t heuristic_seed = cp::saltedSeed(options.solver);
     double step = step_s;
     for (int i = 0; i <= coarsenings_left;
          ++i, step *= options.refineFactor) {
@@ -590,7 +578,6 @@ listSchedulerFallback(const ProblemSpec &spec, double step_s,
             lns.polishNodes = 512;
             lns.targetGap = options.solver.targetGap;
             lns.lowerBound = bounds.best();
-            lns.useNogoods = options.solver.useNogoods;
             cp::LnsResult polished =
                 cp::lnsImprove(problem.model, greedy.schedule, lns);
             greedy.schedule = polished.schedule;

@@ -136,21 +136,10 @@ engineOptionsJson(const EngineOptions &options)
               Json::number(static_cast<int64_t>(solver.seed)));
     sjson.set("seed_salt",
               Json::number(static_cast<int64_t>(solver.seedSalt)));
-    sjson.set("energetic_reasoning",
-              Json::boolean(solver.energeticReasoning));
     sjson.set("threads",
               Json::number(static_cast<int64_t>(solver.threads)));
-    sjson.set("deterministic_search",
-              Json::boolean(solver.deterministicSearch));
     sjson.set("split_depth",
               Json::number(static_cast<int64_t>(solver.splitDepth)));
-    sjson.set("use_nogoods", Json::boolean(solver.useNogoods));
-    sjson.set("nogood_capacity",
-              Json::number(
-                  static_cast<int64_t>(solver.nogoodCapacity)));
-    sjson.set("lns", Json::boolean(solver.lns));
-    sjson.set("lns_polish_nodes",
-              Json::number(solver.lnsPolishNodes));
     json.set("solver", sjson);
     return json;
 }
@@ -217,24 +206,10 @@ parseEngineOptions(const Json &json, EngineOptions *out,
         solver.seedSalt = static_cast<uint64_t>(
             intOr(*sjson, "seed_salt",
                   static_cast<int64_t>(solver.seedSalt)));
-        solver.energeticReasoning =
-            boolOr(*sjson, "energetic_reasoning",
-                   solver.energeticReasoning);
         solver.threads = static_cast<int>(
             intOr(*sjson, "threads", solver.threads));
-        solver.deterministicSearch =
-            boolOr(*sjson, "deterministic_search",
-                   solver.deterministicSearch);
         solver.splitDepth = static_cast<int>(
             intOr(*sjson, "split_depth", solver.splitDepth));
-        solver.useNogoods =
-            boolOr(*sjson, "use_nogoods", solver.useNogoods);
-        solver.nogoodCapacity = static_cast<size_t>(
-            intOr(*sjson, "nogood_capacity",
-                  static_cast<int64_t>(solver.nogoodCapacity)));
-        solver.lns = boolOr(*sjson, "lns", solver.lns);
-        solver.lnsPolishNodes =
-            intOr(*sjson, "lns_polish_nodes", solver.lnsPolishNodes);
         if (solver.maxNodes <= 0 || solver.maxSeconds <= 0.0) {
             if (error)
                 *error = "solver options out of range";

@@ -3,8 +3,9 @@
  * LNS tests: the destroy/repair loop must be monotone (never return
  * a schedule worse than the starting incumbent) and always feasible,
  * across many random instances; the bounded B&B polish must be able
- * to pull a deliberately bad incumbent to the known optimum; and the
- * solver-level --lns path must keep exact results exact.
+ * to pull a deliberately bad incumbent to the known optimum; an LNS
+ * incumbent handed to the solver must keep exact results exact; and
+ * the salted seed must give a retried solve a fresh trajectory.
  */
 
 #include <gtest/gtest.h>
@@ -128,37 +129,26 @@ TEST(Lns, GapStopSkipsTheWholePass)
 
 TEST(Lns, SolverLevelLnsKeepsExactResultsExact)
 {
+    // An LNS-polished incumbent enters the solver as a hint, the way
+    // a sweep hands a neighbor's schedule over: it may only tighten
+    // the starting upper bound, never change the proven optimum.
     Model m = contendedModel(9, 77);
     SolverOptions plain;
     plain.targetGap = 0.0;
     plain.maxSeconds = 20.0;
-    SolverOptions with_lns = plain;
-    with_lns.lns = true;
-    with_lns.lnsIterations = 32;
+    ListResult greedy = bestGreedy(m, 4, 1);
+    ASSERT_TRUE(greedy.feasible);
+    LnsOptions lns;
+    lns.iterations = 32;
+    LnsResult polished = lnsImprove(m, greedy.schedule, lns);
 
     Result a = Solver(plain).solve(m);
-    Result b = Solver(with_lns).solve(m);
+    Result b = Solver(plain).solve(m, &polished.schedule);
     ASSERT_EQ(a.status, SolveStatus::Optimal);
+    EXPECT_TRUE(b.stats.hintAccepted);
     EXPECT_EQ(b.status, SolveStatus::Optimal);
     EXPECT_EQ(b.makespan, a.makespan);
     EXPECT_TRUE(checkSchedule(m, b.schedule).empty());
-}
-
-TEST(Lns, SolverReportsLnsTelemetry)
-{
-    // A tight budget keeps the incumbent above the target gap, so
-    // the solver routes through the LNS pass and must report it.
-    Model m = contendedModel(12, 4242);
-    SolverOptions options;
-    options.targetGap = 0.0;
-    options.maxSeconds = 2.0;
-    options.maxNodes = 2000;
-    options.lns = true;
-    options.lnsIterations = 16;
-    Result r = Solver(options).solve(m);
-    ASSERT_TRUE(r.hasSchedule());
-    EXPECT_GT(r.stats.lnsIterationsRun, 0);
-    EXPECT_TRUE(checkSchedule(m, r.schedule).empty());
 }
 
 TEST(LnsTrajectory, DigestIsDeterministicForIdenticalOptions)
@@ -187,31 +177,36 @@ TEST(LnsTrajectory, SeedSaltGivesTheRetryAFreshTrajectory)
 {
     // The fault-isolation retry bug: a retried evaluation used to
     // replay the exact destroy sequence that just failed. With the
-    // retry salting SolverOptions::seedSalt, the second attempt must
-    // walk a different trajectory - while a zero salt stays
-    // bit-identical with history.
+    // retry salting SolverOptions::seedSalt, an LNS pass seeded from
+    // saltedSeed() must walk a different trajectory on the second
+    // attempt - while a zero salt stays bit-identical with history.
     Model m = contendedModel(12, 4242);
-    SolverOptions options;
-    options.targetGap = 0.0;
-    options.maxSeconds = 2.0;
-    options.maxNodes = 2000;
-    options.lns = true;
-    options.lnsIterations = 32;
+    ListResult greedy = bestGreedy(m, 4, 1);
+    ASSERT_TRUE(greedy.feasible);
+    auto pass = [&](const SolverOptions &solver) {
+        LnsOptions lns;
+        lns.iterations = 32;
+        lns.maxSeconds = 5.0;
+        lns.polishNodes = 0;
+        lns.seed = saltedSeed(solver);
+        return lnsImprove(m, greedy.schedule, lns);
+    };
 
-    Result first = Solver(options).solve(m);
-    Result replay = Solver(options).solve(m);
-    ASSERT_GT(first.stats.lnsIterationsRun, 0);
-    ASSERT_NE(first.stats.lnsTrajectoryDigest, 0u);
-    EXPECT_EQ(replay.stats.lnsTrajectoryDigest,
-              first.stats.lnsTrajectoryDigest);
+    SolverOptions options;
+    EXPECT_EQ(saltedSeed(options), options.seed);
+    LnsResult first = pass(options);
+    LnsResult replay = pass(options);
+    ASSERT_GT(first.iterations, 0);
+    ASSERT_NE(first.trajectoryDigest, 0u);
+    EXPECT_EQ(replay.trajectoryDigest, first.trajectoryDigest);
     EXPECT_EQ(replay.makespan, first.makespan);
 
     SolverOptions retry = options;
     retry.seedSalt = 0x9e3779b97f4a7c15ull; // Attempt-index salt.
-    Result salted = Solver(retry).solve(m);
-    EXPECT_NE(salted.stats.lnsTrajectoryDigest,
-              first.stats.lnsTrajectoryDigest);
-    ASSERT_TRUE(salted.hasSchedule());
+    EXPECT_NE(saltedSeed(retry), options.seed);
+    LnsResult salted = pass(retry);
+    EXPECT_NE(salted.trajectoryDigest, first.trajectoryDigest);
+    EXPECT_LE(salted.makespan, greedy.makespan);
     EXPECT_TRUE(checkSchedule(m, salted.schedule).empty());
 }
 

@@ -1,14 +1,13 @@
 /**
  * @file
- * Tests of the branch-and-bound drivers, which all run the one
- * node-expansion kernel of cp/search.cc: the parallel drivers
- * (opportunistic work stealing and deterministic frontier slices)
- * against the serial one. With targetGap == 0 all must prove the same
- * optimum (or the same infeasibility): the parallel drivers explore a
- * different node set, but the set of schedules covered is identical,
- * so foundSolution / exhausted / bestMakespan must match exactly for
- * every thread count and both parallel modes. This binary also runs
- * under TSan.
+ * Tests of the branch-and-bound drivers, which both run the one
+ * node-expansion kernel of cp/search.cc: the opportunistic
+ * work-stealing driver against the serial one. With targetGap == 0
+ * both must prove the same optimum (or the same infeasibility): the
+ * parallel driver explores a different node set, but the set of
+ * schedules covered is identical, so foundSolution / exhausted /
+ * bestMakespan must match exactly for every thread count. This binary
+ * also runs under TSan.
  */
 
 #include <gtest/gtest.h>
@@ -108,21 +107,16 @@ TEST_P(ParallelDiff, MatchesSerialOptimum)
         << "reference run must prove optimality";
 
     for (int threads : {2, 4, 8}) {
-        for (bool deterministic : {false, true}) {
-            SearchLimits limits = exhaustiveLimits();
-            limits.threads = threads;
-            limits.deterministic = deterministic;
-            SearchResult par = branchAndBound(m, nullptr, limits);
-            SCOPED_TRACE(::testing::Message()
-                         << "threads=" << threads
-                         << " deterministic=" << deterministic);
-            EXPECT_EQ(par.threadsUsed, threads);
-            EXPECT_EQ(par.foundSolution, serial.foundSolution);
-            EXPECT_EQ(par.exhausted, serial.exhausted);
-            if (serial.foundSolution) {
-                EXPECT_EQ(par.bestMakespan, serial.bestMakespan);
-                EXPECT_EQ(checkSchedule(m, par.best), "");
-            }
+        SearchLimits limits = exhaustiveLimits();
+        limits.threads = threads;
+        SearchResult par = branchAndBound(m, nullptr, limits);
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        EXPECT_EQ(par.threadsUsed, threads);
+        EXPECT_EQ(par.foundSolution, serial.foundSolution);
+        EXPECT_EQ(par.exhausted, serial.exhausted);
+        if (serial.foundSolution) {
+            EXPECT_EQ(par.bestMakespan, serial.bestMakespan);
+            EXPECT_EQ(checkSchedule(m, par.best), "");
         }
     }
 }
@@ -145,20 +139,15 @@ TEST_P(ParallelWarmDiff, MatchesSerialOptimumFromWarmStart)
     ScheduleVec warm = serial.best;
 
     for (int threads : {2, 8}) {
-        for (bool deterministic : {false, true}) {
-            SearchLimits limits = exhaustiveLimits();
-            limits.threads = threads;
-            limits.deterministic = deterministic;
-            SearchResult par = branchAndBound(m, &warm, limits);
-            SCOPED_TRACE(::testing::Message()
-                         << "threads=" << threads
-                         << " deterministic=" << deterministic);
-            ASSERT_TRUE(par.foundSolution);
-            EXPECT_TRUE(par.exhausted);
-            EXPECT_EQ(par.bestMakespan, serial.bestMakespan);
-            // The warm start is already optimal: no improvements.
-            EXPECT_EQ(par.solutions, 0);
-        }
+        SearchLimits limits = exhaustiveLimits();
+        limits.threads = threads;
+        SearchResult par = branchAndBound(m, &warm, limits);
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        ASSERT_TRUE(par.foundSolution);
+        EXPECT_TRUE(par.exhausted);
+        EXPECT_EQ(par.bestMakespan, serial.bestMakespan);
+        // The warm start is already optimal: no improvements.
+        EXPECT_EQ(par.solutions, 0);
     }
 }
 
@@ -207,15 +196,11 @@ TEST(ParallelSearch, ProvesInfeasibilityByExhaustion)
         m.addTask(t);
     }
     m.setHorizon(8); // needs 9 steps on one device.
-    for (bool deterministic : {false, true}) {
-        SearchLimits limits;
-        limits.threads = 4;
-        limits.deterministic = deterministic;
-        SearchResult r = branchAndBound(m, nullptr, limits);
-        SCOPED_TRACE(deterministic);
-        EXPECT_FALSE(r.foundSolution);
-        EXPECT_TRUE(r.exhausted);
-    }
+    SearchLimits limits;
+    limits.threads = 4;
+    SearchResult r = branchAndBound(m, nullptr, limits);
+    EXPECT_FALSE(r.foundSolution);
+    EXPECT_TRUE(r.exhausted);
 }
 
 TEST(ParallelSearch, TargetGapSkipsSearchLikeSerial)
@@ -232,34 +217,6 @@ TEST(ParallelSearch, TargetGapSkipsSearchLikeSerial)
     EXPECT_FALSE(r.exhausted);
     EXPECT_EQ(r.nodes, 0);
     EXPECT_EQ(r.bestMakespan, 4);
-}
-
-TEST(ParallelSearch, DeterministicModeIsReproducible)
-{
-    Model m = randomModel(3);
-    SearchLimits limits = exhaustiveLimits();
-    limits.threads = 4;
-    limits.deterministic = true;
-    SearchResult first = branchAndBound(m, nullptr, limits);
-    for (int run = 0; run < 3; ++run) {
-        SearchResult again = branchAndBound(m, nullptr, limits);
-        EXPECT_EQ(again.foundSolution, first.foundSolution);
-        EXPECT_EQ(again.exhausted, first.exhausted);
-        EXPECT_EQ(again.bestMakespan, first.bestMakespan);
-        EXPECT_EQ(again.nodes, first.nodes);
-        EXPECT_EQ(again.solutions, first.solutions);
-        EXPECT_EQ(again.subproblems, first.subproblems);
-        if (first.foundSolution) {
-            ASSERT_EQ(again.best.tasks.size(),
-                      first.best.tasks.size());
-            for (size_t t = 0; t < first.best.tasks.size(); ++t) {
-                EXPECT_EQ(again.best.tasks[t].mode,
-                          first.best.tasks[t].mode);
-                EXPECT_EQ(again.best.tasks[t].start,
-                          first.best.tasks[t].start);
-            }
-        }
-    }
 }
 
 TEST(ParallelSearch, ExplicitSplitDepthIsHonored)
@@ -337,68 +294,6 @@ TEST(ParallelSearch, TerminationStressOnTinyTrees)
     }
 }
 
-/**
- * No-good differential under concurrency: the shared store (and the
- * private per-worker stores of deterministic mode) must not change
- * any proven optimum or exhaustion verdict at any thread count. A
- * racy publication or an unsound shared bound shows up here - and
- * under TSan, which runs this binary - as a wrong makespan.
- */
-class NogoodParallelDiff : public ::testing::TestWithParam<uint64_t>
-{};
-
-TEST_P(NogoodParallelDiff, MatchesSerialOptimumWithSharedStore)
-{
-    Model m = randomModel(GetParam() * 37 + 7);
-    SearchResult serial = branchAndBound(m, nullptr,
-                                         exhaustiveLimits());
-    ASSERT_TRUE(serial.exhausted);
-
-    for (int threads : {2, 8}) {
-        for (bool deterministic : {false, true}) {
-            SearchLimits limits = exhaustiveLimits();
-            limits.threads = threads;
-            limits.deterministic = deterministic;
-            limits.useNogoods = true;
-            SearchResult par = branchAndBound(m, nullptr, limits);
-            SCOPED_TRACE(::testing::Message()
-                         << "threads=" << threads
-                         << " deterministic=" << deterministic);
-            EXPECT_EQ(par.foundSolution, serial.foundSolution);
-            EXPECT_EQ(par.exhausted, serial.exhausted);
-            if (serial.foundSolution) {
-                EXPECT_EQ(par.bestMakespan, serial.bestMakespan);
-                EXPECT_EQ(checkSchedule(m, par.best), "");
-            }
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, NogoodParallelDiff,
-                         ::testing::Range<uint64_t>(1, 9));
-
-TEST(ParallelSearch, DeterministicModeWithNogoodsIsReproducible)
-{
-    // Deterministic mode keeps its reproducibility promise with
-    // learning on: stores are private per worker, so node counts and
-    // no-good telemetry must repeat exactly.
-    Model m = randomModel(3);
-    SearchLimits limits = exhaustiveLimits();
-    limits.threads = 4;
-    limits.deterministic = true;
-    limits.useNogoods = true;
-    SearchResult first = branchAndBound(m, nullptr, limits);
-    for (int run = 0; run < 3; ++run) {
-        SearchResult again = branchAndBound(m, nullptr, limits);
-        EXPECT_EQ(again.foundSolution, first.foundSolution);
-        EXPECT_EQ(again.exhausted, first.exhausted);
-        EXPECT_EQ(again.bestMakespan, first.bestMakespan);
-        EXPECT_EQ(again.nodes, first.nodes);
-        EXPECT_EQ(again.nogoodHits, first.nogoodHits);
-        EXPECT_EQ(again.nogoodsRecorded, first.nogoodsRecorded);
-    }
-}
-
 /** A big contended instance no 8-worker run finishes in 100 ms. */
 Model
 hardModel(int tasks, uint64_t seed)
@@ -427,11 +322,10 @@ hardModel(int tasks, uint64_t seed)
 }
 
 /**
- * Mid-flight deadline-cut stress (the satellite bugfix): with eight
- * workers deep in a large tree, an expiring deadline must cut every
- * loop - subtree walks, the steal/backoff wait, and deterministic
- * mode's between-subproblem boundary - promptly, and the run must
- * still publish the best cross-worker incumbent. Before the fix,
+ * Mid-flight deadline-cut stress: with eight workers deep in a large
+ * tree, an expiring deadline must cut every loop - subtree walks and
+ * the steal/backoff wait - promptly, and the run must still publish
+ * the best cross-worker incumbent. Before the fix,
  * workers parked in waitForWork spun past the deadline and runs
  * could hang until maxSeconds.
  */
@@ -442,27 +336,22 @@ TEST(ParallelSearch, DeadlineCutsEightWorkerSearchMidFlight)
     ListResult greedy = bestGreedy(m, 4, 1);
     ASSERT_TRUE(greedy.feasible);
 
-    for (bool deterministic : {false, true}) {
-        SCOPED_TRACE(deterministic);
-        SearchLimits limits;
-        limits.threads = 8;
-        limits.maxNodes = 1'000'000'000;
-        limits.maxSeconds = 120.0;
-        limits.deadline = Clock::now() +
-                          std::chrono::milliseconds(100);
-        limits.deterministic = deterministic;
-        Clock::time_point t0 = Clock::now();
-        SearchResult r = branchAndBound(m, &greedy.schedule, limits);
-        double elapsed = std::chrono::duration<double>(
-            Clock::now() - t0).count();
-        // Generous margin over the 100 ms budget: the cut only has
-        // to beat the 120 s fallback, not be instant, but anything
-        // past a few seconds means some loop ignored the deadline.
-        EXPECT_LT(elapsed, 10.0);
-        ASSERT_TRUE(r.foundSolution);
-        EXPECT_LE(r.bestMakespan, greedy.makespan);
-        EXPECT_EQ(checkSchedule(m, r.best), "");
-    }
+    SearchLimits limits;
+    limits.threads = 8;
+    limits.maxNodes = 1'000'000'000;
+    limits.maxSeconds = 120.0;
+    limits.deadline = Clock::now() + std::chrono::milliseconds(100);
+    Clock::time_point t0 = Clock::now();
+    SearchResult r = branchAndBound(m, &greedy.schedule, limits);
+    double elapsed = std::chrono::duration<double>(
+        Clock::now() - t0).count();
+    // Generous margin over the 100 ms budget: the cut only has to
+    // beat the 120 s fallback, not be instant, but anything past a
+    // few seconds means some loop ignored the deadline.
+    EXPECT_LT(elapsed, 10.0);
+    ASSERT_TRUE(r.foundSolution);
+    EXPECT_LE(r.bestMakespan, greedy.makespan);
+    EXPECT_EQ(checkSchedule(m, r.best), "");
 }
 
 TEST(ParallelSearch, AlreadyExpiredDeadlineStillReturnsIncumbent)
@@ -472,34 +361,28 @@ TEST(ParallelSearch, AlreadyExpiredDeadlineStillReturnsIncumbent)
     ListResult greedy = bestGreedy(m, 4, 1);
     ASSERT_TRUE(greedy.feasible);
 
-    for (bool deterministic : {false, true}) {
-        SCOPED_TRACE(deterministic);
-        SearchLimits limits;
-        limits.threads = 8;
-        limits.deadline = Clock::now();
-        limits.deterministic = deterministic;
-        Clock::time_point t0 = Clock::now();
-        SearchResult r = branchAndBound(m, &greedy.schedule, limits);
-        double elapsed = std::chrono::duration<double>(
-            Clock::now() - t0).count();
-        EXPECT_LT(elapsed, 10.0);
-        ASSERT_TRUE(r.foundSolution);
-        EXPECT_FALSE(r.exhausted);
-        EXPECT_LE(r.bestMakespan, greedy.makespan);
-        EXPECT_EQ(checkSchedule(m, r.best), "");
-    }
+    SearchLimits limits;
+    limits.threads = 8;
+    limits.deadline = Clock::now();
+    Clock::time_point t0 = Clock::now();
+    SearchResult r = branchAndBound(m, &greedy.schedule, limits);
+    double elapsed = std::chrono::duration<double>(
+        Clock::now() - t0).count();
+    EXPECT_LT(elapsed, 10.0);
+    ASSERT_TRUE(r.foundSolution);
+    EXPECT_FALSE(r.exhausted);
+    EXPECT_LE(r.bestMakespan, greedy.makespan);
+    EXPECT_EQ(checkSchedule(m, r.best), "");
 }
 
 /**
  * A leaf replaces the incumbent only when it is strictly better, in
- * every driver. On this model the serial walk meets a leaf of
+ * both drivers. On this model the serial walk meets a leaf of
  * makespan 12 at node 9, after one of 8: capped at 10 nodes it must
  * still return 8, never a makespan above the best leaf it visited.
- * The deterministic driver spends a 10-node budget on generating its
- * frontier, so it gets 20; the opportunistic one checks its shared
- * budget every 64 nodes and visits a different tree (which it may
- * even finish within that batch), so it only has to return a
- * consistent schedule.
+ * The opportunistic driver checks its shared budget every 64 nodes
+ * and visits a different tree (which it may even finish within that
+ * batch), so it only has to return a consistent schedule.
  */
 TEST(ParallelSearch, NodeCappedSearchKeepsItsBestLeaf)
 {
@@ -507,21 +390,15 @@ TEST(ParallelSearch, NodeCappedSearchKeepsItsBestLeaf)
     struct Run
     {
         int threads;
-        bool deterministic;
-        int64_t maxNodes;
         Time expected; // 0: any makespan.
     };
-    const Run runs[] = {
-        {1, false, 10, 8}, {2, true, 20, 8}, {2, false, 10, 0}};
+    const Run runs[] = {{1, 8}, {2, 0}};
     for (const Run &run : runs) {
         SearchLimits limits;
-        limits.maxNodes = run.maxNodes;
+        limits.maxNodes = 10;
         limits.threads = run.threads;
-        limits.deterministic = run.deterministic;
         SearchResult r = branchAndBound(m, nullptr, limits);
-        SCOPED_TRACE(::testing::Message()
-                     << "threads=" << run.threads
-                     << " deterministic=" << run.deterministic);
+        SCOPED_TRACE(::testing::Message() << "threads=" << run.threads);
         ASSERT_TRUE(r.foundSolution);
         EXPECT_EQ(checkSchedule(m, r.best), "");
         EXPECT_EQ(r.best.makespan(m), r.bestMakespan);
@@ -529,8 +406,50 @@ TEST(ParallelSearch, NodeCappedSearchKeepsItsBestLeaf)
             EXPECT_FALSE(r.exhausted);
             EXPECT_EQ(r.bestMakespan, run.expected);
         }
-        if (run.threads == 1)
-            EXPECT_EQ(r.nodes, run.maxNodes); // The cap is exact.
+        if (run.threads == 1) {
+            EXPECT_EQ(r.nodes, limits.maxNodes); // The cap is exact.
+        }
+    }
+}
+
+/**
+ * A worker pops the children it spilled in branch order, the order
+ * the serial walk visits them, so under a node cap the opportunistic
+ * driver reaches the serial walk's best leaf instead of exploring
+ * siblings worst completion first. Each case's expected makespan is
+ * the optimum, which the serial walk meets within the cap. A thief
+ * can still use up the cap while the owner waits for a core, so the
+ * check is that most runs reach the optimum: with siblings popped
+ * newest first, no run of the 64-node cases did.
+ */
+TEST(ParallelSearch, OwnerPopsSpilledChildrenInBranchOrder)
+{
+    struct Case
+    {
+        uint64_t seed;
+        int64_t maxNodes;
+        Time optimum;
+    };
+    const Case cases[] = {{1, 10, 8}, {5, 64, 8}, {11, 64, 8}, {14, 64, 6}};
+    constexpr int kRuns = 50;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(::testing::Message() << "seed=" << c.seed);
+        Model m = pinnedSearchModel(c.seed);
+        SearchLimits limits;
+        limits.maxNodes = c.maxNodes;
+        SearchResult serial = branchAndBound(m, nullptr, limits);
+        ASSERT_FALSE(serial.exhausted);
+        ASSERT_EQ(serial.bestMakespan, c.optimum);
+
+        limits.threads = 2;
+        int optimal = 0;
+        for (int run = 0; run < kRuns; ++run) {
+            SearchResult r = branchAndBound(m, nullptr, limits);
+            ASSERT_TRUE(r.foundSolution);
+            EXPECT_EQ(checkSchedule(m, r.best), "");
+            optimal += r.bestMakespan == c.optimum;
+        }
+        EXPECT_GT(optimal, kRuns / 2);
     }
 }
 
@@ -541,7 +460,6 @@ TEST(ParallelSearch, SerialPathIgnoresParallelKnobs)
     Model m = twoDeviceModel();
     SearchLimits limits;
     limits.threads = 1;
-    limits.deterministic = true;
     limits.splitDepth = 3;
     SearchResult r = branchAndBound(m, nullptr, limits);
     ASSERT_TRUE(r.foundSolution);

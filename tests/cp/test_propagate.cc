@@ -1,9 +1,8 @@
 /**
  * @file
  * Tests for the propagation engine: fixpoint bounds reproduce the
- * individual pruning rules, the trail unwinds placements exactly,
- * per-propagator telemetry is populated, and the optional energetic
- * propagator is sound (never prunes the optimum away).
+ * individual pruning rules, the trail unwinds placements exactly, and
+ * per-propagator telemetry is populated.
  */
 
 #include <gtest/gtest.h>
@@ -62,14 +61,13 @@ TEST(Propagate, FixpointReportsStrongestRule)
     CriticalPathData cp = criticalPathData(m);
     std::vector<Assignment> assign(3);
     std::vector<Time> end(3, 0);
-    std::vector<Time> est(3, 0);
 
     PropagationContext ctx{m, cp, assign, end, 0, 0,
-                           m.horizon() + 1, est};
+                           m.horizon() + 1};
     EXPECT_EQ(engine.fixpoint(ctx), 7); // disjunctive load wins.
 
     PropagationContext floored{m, cp, assign, end, 0, 9,
-                               m.horizon() + 1, est};
+                               m.horizon() + 1};
     EXPECT_EQ(engine.fixpoint(floored), 9); // external LB dominates.
 }
 
@@ -81,10 +79,9 @@ TEST(Propagate, PlacementTightensBoundsAndUndoRestoresThem)
     CriticalPathData cp = criticalPathData(m);
     std::vector<Assignment> assign(3);
     std::vector<Time> end(3, 0);
-    std::vector<Time> est(3, 0);
 
     PropagationContext ctx{m, cp, assign, end, 0, 0,
-                           m.horizon() + 1, est};
+                           m.horizon() + 1};
     Time before = engine.fixpoint(ctx);
 
     // Place t1 late: its window pushes the partial makespan.
@@ -96,7 +93,7 @@ TEST(Propagate, PlacementTightensBoundsAndUndoRestoresThem)
     EXPECT_TRUE(engine.profile().groupBusy(0, 12));
 
     PropagationContext placed{m, cp, assign, end, 14, 0,
-                              m.horizon() + 1, est};
+                              m.horizon() + 1};
     // Busy 4 on the group + 3 still pinned, but the makespan 14
     // already dominates every rule.
     EXPECT_EQ(engine.fixpoint(placed), 14);
@@ -118,14 +115,13 @@ TEST(Propagate, TelemetryCountsInvocationsAndPrunings)
     CriticalPathData cp = criticalPathData(m);
     std::vector<Assignment> assign(3);
     std::vector<Time> end(3, 0);
-    std::vector<Time> est(3, 0);
 
     PropagationContext ctx{m, cp, assign, end, 0, 0,
-                           m.horizon() + 1, est};
+                           m.horizon() + 1};
     engine.fixpoint(ctx);
     // The true bound is 7: an incumbent of 5 must trigger a cutoff,
     // attributed to whichever propagator proved it.
-    PropagationContext cutoff{m, cp, assign, end, 0, 0, 5, est};
+    PropagationContext cutoff{m, cp, assign, end, 0, 0, 5};
     EXPECT_GE(engine.fixpoint(cutoff), 5);
 
     std::vector<PropagatorStats> stats = engine.stats();
@@ -158,51 +154,7 @@ TEST(Propagate, SearchReportsPerPropagatorStats)
               names.end());
     EXPECT_NE(std::find(names.begin(), names.end(), "precedence"),
               names.end());
-    // Energetic reasoning is opt-in.
-    EXPECT_EQ(std::find(names.begin(), names.end(), "energetic"),
-              names.end());
-}
-
-TEST(Propagate, EnergeticReasoningIsSound)
-{
-    // A staggered DAG where suffix-energy windows actually bite:
-    // chains release energy late, so est-windowed bounds are
-    // strictly stronger than the global energy bound. The optimum
-    // must be identical with and without the extra propagator.
-    Model m;
-    m.addResource(1.5, "power");
-    int g = m.addGroup("GPU");
-    m.setHorizon(60);
-    int a = m.addTask(Task{"a", {Mode{kNoGroup, 4, {1.0}}}});
-    int b = m.addTask(Task{"b", {Mode{kNoGroup, 5, {1.0}},
-                                 Mode{g, 3, {0.5}}}});
-    int c = m.addTask(Task{"c", {Mode{kNoGroup, 3, {1.5}}}});
-    int d = m.addTask(Task{"d", {Mode{g, 6, {0.2}}}});
-    int e = m.addTask(Task{"e", {Mode{kNoGroup, 2, {1.0}},
-                                 Mode{g, 4, {0.1}}}});
-    m.addPrecedence(a, b);
-    m.addPrecedence(b, c);
-    m.addPrecedence(a, d);
-    m.addPrecedence(d, e);
-
-    SearchLimits plain;
-    SearchResult without = branchAndBound(m, nullptr, plain);
-    ASSERT_TRUE(without.exhausted);
-
-    SearchLimits with = plain;
-    with.energeticReasoning = true;
-    SearchResult result = branchAndBound(m, nullptr, with);
-    ASSERT_TRUE(result.exhausted);
-    ASSERT_TRUE(result.foundSolution);
-    EXPECT_EQ(result.bestMakespan, without.bestMakespan);
-
-    std::vector<std::string> names;
-    for (const PropagatorStats &s : result.propagators)
-        names.push_back(s.name);
-    EXPECT_NE(std::find(names.begin(), names.end(), "energetic"),
-              names.end());
-    // The extra rule may only shrink the tree, never grow it.
-    EXPECT_LE(result.nodes, without.nodes);
+    EXPECT_EQ(names.size(), 3u);
 }
 
 TEST(Propagate, MergeStatsAccumulatesByName)
@@ -211,14 +163,14 @@ TEST(Propagate, MergeStatsAccumulatesByName)
     mergePropagatorStats(into, {{"timetable", 10, 2, 0.5},
                                 {"precedence", 4, 1, 0.25}});
     mergePropagatorStats(into, {{"timetable", 5, 1, 0.5},
-                                {"energetic", 7, 0, 0.125}});
+                                {"disjunctive", 7, 0, 0.125}});
     ASSERT_EQ(into.size(), 3u);
     EXPECT_EQ(into[0].name, "timetable");
     EXPECT_EQ(into[0].invocations, 15);
     EXPECT_EQ(into[0].prunings, 3);
     EXPECT_DOUBLE_EQ(into[0].seconds, 1.0);
     EXPECT_EQ(into[1].name, "precedence");
-    EXPECT_EQ(into[2].name, "energetic");
+    EXPECT_EQ(into[2].name, "disjunctive");
     EXPECT_EQ(into[2].invocations, 7);
 }
 

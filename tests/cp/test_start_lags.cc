@@ -169,19 +169,14 @@ TEST(StartLags, SearchBranchesPastLagFromWarmStart)
     ASSERT_EQ(checkSchedule(m, warm), "");
     ASSERT_EQ(warm.makespan(m), 22);
     for (int threads : {1, 2}) {
-        for (bool deterministic : {false, true}) {
-            SearchLimits limits;
-            limits.threads = threads;
-            limits.deterministic = deterministic;
-            SearchResult r = branchAndBound(m, &warm, limits);
-            SCOPED_TRACE(::testing::Message()
-                         << "threads=" << threads
-                         << " deterministic=" << deterministic);
-            ASSERT_TRUE(r.foundSolution);
-            EXPECT_TRUE(r.exhausted);
-            EXPECT_EQ(r.bestMakespan, 6);
-            EXPECT_EQ(checkSchedule(m, r.best), "");
-        }
+        SearchLimits limits;
+        limits.threads = threads;
+        SearchResult r = branchAndBound(m, &warm, limits);
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        ASSERT_TRUE(r.foundSolution);
+        EXPECT_TRUE(r.exhausted);
+        EXPECT_EQ(r.bestMakespan, 6);
+        EXPECT_EQ(checkSchedule(m, r.best), "");
     }
 }
 
